@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .exact_linalg import Matrix, contains, det, nullspace
 from .ideal_components import (
     PointConfiguration,
@@ -149,12 +147,6 @@ def build_certificate(Qs, R: Form, epsilon, gamma: PointConfiguration,
     return cert
 
 
-def _float_poly(p: Form):
-    exps = np.array(monomial_basis(p.n, p.degree), dtype=float)
-    coefs = np.array([float(c) for c in p.coeffs])
-    return exps, coefs
-
-
 def numeric_min_on_sphere(p: Form, samples: int, refine_steps: int = 200,
                           seed: int = 0):
     """Seeded sampling plus projected gradient descent on the unit sphere.
@@ -162,6 +154,9 @@ def numeric_min_on_sphere(p: Form, samples: int, refine_steps: int = 200,
     By homogeneity the sign of p on projective space matches its sign on
     the Euclidean sphere.  Double precision; returns (value, argmin).
     """
+    # imported here, so that importing conefaces does not load numpy
+    import numpy as np
+
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)

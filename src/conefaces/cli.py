@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .certificates import build_certificate
@@ -48,30 +47,30 @@ def _emit(data, output_path=None):
         sys.stdout.write(text)
 
 
-def _resolve_config(args, n, size_flag="random_size"):
+def _resolve_config(args):
     if args.config:
-        return _load_config(args.config)
-    size = getattr(args, size_flag, None)
-    if size is None:
-        raise SystemExit("either --config or --random-size is required")
-    require_d = args.d if getattr(args, "require_independent", False) else None
+        g = _load_config(args.config)
+        if g.n != args.n:
+            raise ValueError(f"configuration has n={g.n}, expected {args.n}")
+        return g
+    if args.random_size is None:
+        raise ValueError("either --config or --random-size is required")
+    require_d = args.d if args.require_independent else None
     return random_configuration(
-        n, size, seed=args.seed, glp=getattr(args, "glp", False),
+        args.n, args.random_size, seed=args.seed, glp=args.glp,
         d_independent=require_d,
     )
 
 
 def cmd_dims(args):
-    g = _resolve_config(args, args.n)
-    if g.n != args.n:
-        raise SystemExit(f"configuration has n={g.n}, expected {args.n}")
+    g = _resolve_config(args)
     report = face_report(g, args.d)
     _emit(report.to_json(), args.output)
     return 0
 
 
 def cmd_independence(args):
-    g = _resolve_config(args, args.n)
+    g = _resolve_config(args)
     report = is_d_independent(g, args.d)
     _emit(report.to_json(), args.output)
     return {"yes": 0, "no": 1, "indeterminate": 2}[report.verdict]
@@ -92,25 +91,20 @@ def cmd_construct(args):
     if args.what == "six4":
         g = _load_config(args.config) if args.config else EXAMPLE_SIX_POINTS
         scheme = six_point_scheme(g)
-        _emit(scheme.to_json(), args.output)
-        return 0
-    if args.what == "seven3":
+    else:
         g = _load_config(args.config) if args.config else SEVEN_POINTS_PERTURBED
         scheme = seven_point_scheme(g)
-        _emit(scheme.to_json(), args.output)
-        return 0
-    raise SystemExit(f"unknown construction {args.what}")
+    _emit(scheme.to_json(), args.output)
+    return 0
 
 
 def cmd_certify(args):
     if args.case == "44":
         g = _load_config(args.config) if args.config else EXAMPLE_SIX_POINTS
         scheme = six_point_scheme(g)
-    elif args.case == "36":
+    else:
         g = _load_config(args.config) if args.config else SEVEN_POINTS_PERTURBED
         scheme = seven_point_scheme(g)
-    else:
-        raise SystemExit("--case must be 44 or 36")
     cert = build_certificate(
         list(scheme.Q), scheme.R, rat(args.epsilon), scheme.gamma,
         samples=args.samples, seed=args.seed,
@@ -209,29 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    """CONEFACES_THREADS caps worker parallelism.  All computations are
-    currently single-threaded, so any positive cap is honored as-is."""
-    raw = os.environ.get("CONEFACES_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"CONEFACES_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit(f"CONEFACES_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_cap()
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR

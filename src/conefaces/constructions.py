@@ -12,17 +12,12 @@ import warnings
 from dataclasses import dataclass
 
 from .exact_linalg import Matrix, inverse, nullspace, span
-from .ideal_components import (
-    PointConfiguration,
-    basis_forms,
-    evaluation_row,
-    gradient_rows,
-    vanishing_component,
-)
-from .independence import is_d_independent, is_general_linear_position
+from .ideal_components import PointConfiguration, basis_forms, vanishing_component
+from .independence import is_d_independent
 from .polynomials import (
     Form,
     ProjectivePoint,
+    derivative_rows,
     evaluate,
     linear_form,
     monomial_basis,
@@ -108,7 +103,7 @@ def interpolant_at(s, n: int, d: int) -> Form:
 
 
 def _kernel_vector(rows, ncols):
-    ns = nullspace(Matrix.from_rows(rows, cols=ncols))
+    ns = nullspace(Matrix(len(rows), ncols, tuple(rows)))
     if ns.dim != 1:
         raise GenericityError(
             f"expected a one-dimensional kernel, got dimension {ns.dim}"
@@ -259,15 +254,17 @@ def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
     u = (line_normal(1, 2), line_normal(3, 4), line_normal(5, 6))
     u_dual = tuple(_dual_columns(u))
 
+    def rows_at(i, d, order):
+        return derivative_rows(g.points[i - 1].integer_coords, d, order)
+
     conics = []
     for idxs in CONIC_POINT_SETS:
-        rows = [evaluation_row(g.points[i - 1], 3, 2) for i in idxs]
+        rows = [rows_at(i, 2, 0)[0] for i in idxs]
         conics.append(Form(3, 2, tuple(_kernel_vector(rows, space_dim(3, 2)))).normalized())
     conics = tuple(conics)
 
     # the cubic through the first six points with a double point at the seventh
-    rows = [evaluation_row(g.points[i], 3, 3) for i in range(6)]
-    rows.extend(gradient_rows(g.points[6], 3, 3))
+    rows = [rows_at(i, 3, 0)[0] for i in range(1, 7)] + rows_at(7, 3, 1)
     K = Form(3, 3, tuple(_kernel_vector(rows, space_dim(3, 3)))).normalized()
 
     # the conic guards are essential: a vanishing value breaks the basis

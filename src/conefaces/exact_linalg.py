@@ -59,13 +59,6 @@ class Matrix:
             [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls.from_rows([[ZERO] * cols for _ in range(rows)], cols=cols)
-
-    def row(self, i):
-        return self.entries[i]
-
     def transpose(self):
         return Matrix.from_rows(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],

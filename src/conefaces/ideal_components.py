@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exact_linalg import Matrix, Subspace, nullspace, rank, span
-from .polynomials import (
-    Form,
-    ProjectivePoint,
-    _coord_powers,
-    monomial_basis,
-    space_dim,
-)
-from .rational import ZERO, ONE, rat_str
+from .polynomials import Form, ProjectivePoint, derivative_rows, space_dim
 
 
 @dataclass(frozen=True)
@@ -55,40 +48,9 @@ class PointConfiguration:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict) or not {"n", "points"} <= data.keys():
+            raise ValueError("a configuration needs the keys 'n' and 'points'")
         return cls(data["n"], tuple(tuple(c) for c in data["points"]))
-
-
-def evaluation_row(point: ProjectivePoint, n: int, d: int):
-    """Row of all degree-d monomials evaluated at the point."""
-    powers = _coord_powers(point.coords, d)
-    row = []
-    for exp in monomial_basis(n, d):
-        term = ONE
-        for i, e in enumerate(exp):
-            if e:
-                term *= powers[i][e]
-        row.append(term)
-    return row
-
-
-def gradient_rows(point: ProjectivePoint, n: int, d: int):
-    """n rows: the j-th lists d(monomial)/dx_j evaluated at the point."""
-    powers = _coord_powers(point.coords, d)
-    rows = [[] for _ in range(n)]
-    for exp in monomial_basis(n, d):
-        for j in range(n):
-            ej = exp[j]
-            if not ej:
-                rows[j].append(ZERO)
-                continue
-            term = ONE * ej
-            for i, e in enumerate(exp):
-                if i == j:
-                    e -= 1
-                if e:
-                    term *= powers[i][e]
-            rows[j].append(term)
-    return rows
 
 
 @lru_cache(maxsize=512)
@@ -109,12 +71,11 @@ def vanishing_dim(g: PointConfiguration, d: int) -> int:
 
 
 def _evaluation_matrix(g: PointConfiguration, d: int) -> Matrix:
-    """One row of degree-d monomials per point of Gamma."""
+    """One integer row of degree-d monomials per point of Gamma."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    return Matrix.from_rows(
-        [evaluation_row(p, g.n, d) for p in g.points], cols=space_dim(g.n, d)
-    )
+    rows = [derivative_rows(p.integer_coords, d, 0)[0] for p in g.points]
+    return Matrix(len(rows), space_dim(g.n, d), tuple(rows))
 
 
 @lru_cache(maxsize=512)
@@ -140,13 +101,11 @@ def symbolic_square_dim(g: PointConfiguration, e: int) -> int:
 
 
 def _gradient_matrix(g: PointConfiguration, e: int) -> Matrix:
-    """The n gradient rows of degree-e monomials at each point of Gamma."""
+    """The n integer gradient rows of degree-e monomials at each point of Gamma."""
     if e < 2:
         raise ValueError("degree must be at least 2")
-    rows = []
-    for p in g.points:
-        rows.extend(gradient_rows(p, g.n, e))
-    return Matrix.from_rows(rows, cols=space_dim(g.n, e))
+    rows = [row for p in g.points for row in derivative_rows(p.integer_coords, e, 1)]
+    return Matrix(len(rows), space_dim(g.n, e), tuple(rows))
 
 
 def basis_forms(s: Subspace, n: int, d: int):

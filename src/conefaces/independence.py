@@ -16,14 +16,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .exact_linalg import Matrix, rank
-from .ideal_components import (
-    PointConfiguration,
-    evaluation_row,
-    gradient_rows,
-    vanishing_component,
-    vanishing_dim,
-)
-from .polynomials import monomial_basis, monomial_index, space_dim
+from .ideal_components import PointConfiguration, vanishing_component, vanishing_dim
+from .polynomials import derivative_rows, monomial_basis, monomial_index, space_dim
 
 
 @dataclass(frozen=True)
@@ -54,11 +48,11 @@ def condition2_holds(g: PointConfiguration, d: int) -> bool:
             f"H_{{{g.n},{d}}} has dimension {space_dim(g.n, d)} < {target}; "
             "the required codimension is unreachable"
         )
-    for s in g.points:
-        rows = [evaluation_row(p, g.n, d) for p in g.points if p is not s]
-        rows.extend(gradient_rows(s, g.n, d))
+    values = [derivative_rows(p.integer_coords, d, 0)[0] for p in g.points]
+    for i, s in enumerate(g.points):
+        rows = values[:i] + values[i + 1:] + derivative_rows(s.integer_coords, d, 1)
         # target is the row count, so it bounds the rank
-        m = Matrix.from_rows(rows, cols=space_dim(g.n, d))
+        m = Matrix(target, space_dim(g.n, d), tuple(rows))
         if rank(m, bound=target) != target:
             return False
     return True

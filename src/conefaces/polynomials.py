@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_linalg import Matrix
+from .exact_linalg import Matrix, _integer_row
 from .rational import Rat, ZERO, ONE, rat, rat_str
 
 
@@ -68,6 +68,12 @@ class ProjectivePoint:
         """
         lead = next(c for c in self.coords if c)
         return tuple(c / lead for c in self.coords)
+
+    @property
+    def integer_coords(self) -> tuple:
+        """The primitive integer vector on this point's line, which matrix
+        builders evaluate at (see derivative_rows)."""
+        return tuple(_integer_row(self.coords))
 
     def projectively_equal(self, other: "ProjectivePoint") -> bool:
         return self.canonical() == other.canonical()
@@ -148,24 +154,66 @@ class Form:
         return cls.from_terms(data["n"], data["degree"], terms)
 
 
-def _coord_powers(coords, max_power):
-    return [[c ** k if k else ONE for k in range(max_power + 1)] for c in coords]
+@lru_cache(maxsize=None)
+def _derivative_plan(n: int, d: int, order: int) -> tuple:
+    """For each alpha in monomial_basis(n, order), the nonzero entries of the
+    row d^alpha x^e over e in monomial_basis(n, d), as triples (column of e,
+    falling-factorial coefficient, index of e - alpha in degree d - order)."""
+    index = monomial_index(n, d - order)
+    plan = []
+    for a in monomial_basis(n, order):
+        entries = []
+        for col, e in enumerate(monomial_basis(n, d)):
+            if all(ei >= ai for ei, ai in zip(e, a)):
+                coef = math.prod(math.perm(ei, ai) for ei, ai in zip(e, a))
+                entries.append(
+                    (col, coef, index[tuple(ei - ai for ei, ai in zip(e, a))])
+                )
+        plan.append(tuple(entries))
+    return tuple(plan)
+
+
+def derivative_rows(coords, d: int, order: int) -> list:
+    """Rows of the order-th derivatives of the degree-d monomials at coords.
+
+    For each multi-index alpha in monomial_basis(n, order) there is one row;
+    its entry for e in monomial_basis(n, d) is d^alpha x^e at coords.  So
+    order 0 gives the single value row, order 1 the n gradient rows (x1
+    first) and order 2 the upper triangle of the Hessian, row by row.  A
+    form's value, gradient or Hessian at a point is row . coeffs.
+
+    Entries are exact in the type of the coordinates.  Matrix builders pass
+    each point's integer_coords: rescaling a point by l multiplies each of
+    its rows by l^(d - order), which changes no kernel or rank, and integer
+    rows eliminate much faster than rational ones.
+    """
+    if not 0 <= order <= d:
+        raise ValueError("derivative order must lie between 0 and the degree")
+    m = d - order
+    powers = [[c ** k for k in range(m + 1)] for c in coords]
+    values = [
+        math.prod(powers[i][k] for i, k in enumerate(exp) if k)
+        for exp in monomial_basis(len(coords), m)
+    ]
+    ncols = space_dim(len(coords), d)
+    rows = []
+    for entries in _derivative_plan(len(coords), d, order):
+        row = [0] * ncols
+        for col, coef, k in entries:
+            row[col] = coef * values[k]
+        rows.append(tuple(row))
+    return rows
+
+
+def _dot(row, coeffs) -> "Rat":
+    return sum((a * c for a, c in zip(row, coeffs) if a and c), ZERO)
 
 
 def evaluate(f: Form, p: ProjectivePoint) -> "Rat":
     if f.n != p.n:
         raise ValueError("form and point live in different variable counts")
-    powers = _coord_powers(p.coords, f.degree)
-    total = ZERO
-    for exp, c in zip(monomial_basis(f.n, f.degree), f.coeffs):
-        if not c:
-            continue
-        term = c
-        for i, e in enumerate(exp):
-            if e:
-                term *= powers[i][e]
-        total += term
-    return total
+    (row,) = derivative_rows(p.coords, f.degree, 0)
+    return _dot(row, f.coeffs)
 
 
 def gradient_eval(f: Form, p: ProjectivePoint):
@@ -174,21 +222,7 @@ def gradient_eval(f: Form, p: ProjectivePoint):
         raise ValueError("gradient of a degree-0 form")
     if f.n != p.n:
         raise ValueError("form and point live in different variable counts")
-    powers = _coord_powers(p.coords, f.degree)
-    grad = [ZERO] * f.n
-    for exp, c in zip(monomial_basis(f.n, f.degree), f.coeffs):
-        if not c:
-            continue
-        for j, ej in enumerate(exp):
-            if not ej:
-                continue
-            term = c * ej
-            for i, e in enumerate(exp):
-                e = e - 1 if i == j else e
-                if e:
-                    term *= powers[i][e]
-            grad[j] += term
-    return grad
+    return [_dot(row, f.coeffs) for row in derivative_rows(p.coords, f.degree, 1)]
 
 
 def hessian_eval(f: Form, p: ProjectivePoint) -> Matrix:
@@ -197,34 +231,12 @@ def hessian_eval(f: Form, p: ProjectivePoint) -> Matrix:
         raise ValueError("Hessian of a form of degree < 2")
     if f.n != p.n:
         raise ValueError("form and point live in different variable counts")
-    powers = _coord_powers(p.coords, f.degree)
-    n = f.n
-    h = [[ZERO] * n for _ in range(n)]
-    for exp, c in zip(monomial_basis(n, f.degree), f.coeffs):
-        if not c:
-            continue
-        for j in range(n):
-            for k in range(j, n):
-                ej, ek = exp[j], exp[k]
-                if j == k:
-                    if ej < 2:
-                        continue
-                    factor = c * ej * (ej - 1)
-                else:
-                    if not (ej and ek):
-                        continue
-                    factor = c * ej * ek
-                term = factor
-                for i, e in enumerate(exp):
-                    if i == j:
-                        e -= 1
-                    if i == k:
-                        e -= 1
-                    if e:
-                        term *= powers[i][e]
-                h[j][k] += term
-                if j != k:
-                    h[k][j] += term
+    h = [[ZERO] * f.n for _ in range(f.n)]
+    rows = derivative_rows(p.coords, f.degree, 2)
+    for a, row in zip(monomial_basis(f.n, 2), rows):
+        # the variables differentiated by, e.g. (1, 0, 1) -> j, k = 0, 2
+        j, k = [i for i, ai in enumerate(a) for _ in range(ai)]
+        h[j][k] = h[k][j] = _dot(row, f.coeffs)
     return Matrix.from_rows(h)
 
 

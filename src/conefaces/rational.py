@@ -19,8 +19,6 @@ ONE = Rat(1)
 
 def rat(value) -> "Rat":
     """Coerce ints, strings like "a/b" or "a", and rationals to Rat."""
-    if isinstance(value, str):
-        return Rat(value)
     return Rat(value)
 
 

@@ -1,7 +1,13 @@
 """Certificates: exact not-SOS verdicts, roundness, numeric evidence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import conefaces
 from conefaces.certificates import (
     EPSILON_GRID,
     build_certificate,
@@ -133,3 +139,14 @@ def test_epsilon_search_requires_roundness():
     flat = Form.zero(2, 2)  # zero SOS part: Hessian degenerate everywhere
     with pytest.raises(ValueError):
         epsilon_search([flat], Form.zero(2, 4), g)
+
+
+def test_import_does_not_load_numpy():
+    # numpy is loaded on first use by the numeric minimum and the modular rank
+    src = str(Path(conefaces.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, conefaces; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from conefaces.cli import main
 from conefaces.ideal_components import PointConfiguration
 
@@ -111,21 +109,25 @@ def test_io_error_exit_code(capsys):
     assert code == 11
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     # guard failure surfaces as a usage-level error, not a traceback
     code = main(["certify", "--case", "36", "--config", "/nonexistent.json"])
     assert code == 11
-    with pytest.raises(SystemExit):
-        main(["dims", "--n", "3", "--d", "2"])  # neither --config nor --random-size
-
-
-def test_threads_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("CONEFACES_THREADS", "4")
-    code, _ = run(capsys, "gapscan", "--n", "3", "--two-d", "6")
-    assert code == 0
-    monkeypatch.setenv("CONEFACES_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["gapscan", "--n", "3", "--two-d", "6"])
+    # usage errors exit with 10, never with 1, which means "no"
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"n": 3, "points": [[1, 0, 0], [0, 1, 0]]}))
+    no_n = tmp_path / "no_n.json"
+    no_n.write_text(json.dumps({"points": [[1, 0, 0], [0, 1, 0]]}))
+    for argv in (
+        ["dims", "--n", "3", "--d", "2"],  # neither --config nor --random-size
+        ["dims", "--n", "5", "--d", "2", "--config", str(plane)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(no_n)],
+        ["independence", "--n", "5", "--d", "2", "--config", str(plane)],
+    ):
+        assert main(argv) == 10, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_unperturbed_guard_exit_code(tmp_path, capsys):

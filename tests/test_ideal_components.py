@@ -1,7 +1,9 @@
 """Vanishing-ideal components and the face dimension report."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conefaces.constructions import EXAMPLE_SIX_POINTS, SEVEN_POINTS_PERTURBED
@@ -22,9 +24,12 @@ from conefaces.polynomials import evaluate, gradient_eval, multiply, space_dim
 
 
 def configurations(n, max_size):
-    coords = st.lists(
-        st.integers(min_value=-5, max_value=5), min_size=n, max_size=n
-    ).filter(lambda c: any(c))
+    # rational coordinates: matrix builders rescale each point to integers
+    coord = st.builds(
+        Fraction, st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=1, max_value=7),
+    )
+    coords = st.lists(coord, min_size=n, max_size=n).filter(lambda c: any(c))
 
     def build(point_lists):
         try:
@@ -48,22 +53,27 @@ def test_point_configuration_validation():
         PointConfiguration(3, ((1, 0),))
     g = PointConfiguration(2, ((1, 0), (0, 1)))
     assert PointConfiguration.from_json(g.to_json()) == g
+    for data in ({"points": [[1, 0]]}, {"n": 2}, [[1, 0]]):
+        with pytest.raises(ValueError):
+            PointConfiguration.from_json(data)
 
 
-def test_vanishing_component_single_point():
-    g = PointConfiguration(3, ((1, 0, 0),))
+@given(configurations(3, 5))
+@example(PointConfiguration(3, ((1, 0, 0),)))
+@example(PointConfiguration(3, ((1, 1, 1),)))
+@settings(max_examples=60, deadline=None)
+def test_components_vanish_at_given_coordinates(g):
+    # the kernels come from integer rescalings of the points; check them
+    # against the rational coordinates as given
     v = vanishing_component(g, 2)
-    assert v.dim == space_dim(3, 2) - 1
-    for f in basis_forms(v, 3, 2):
-        assert evaluate(f, g.points[0]) == 0
-
-
-def test_symbolic_square_single_point():
-    g = PointConfiguration(3, ((1, 1, 1),))
     s = symbolic_square_component(g, 4)
-    assert s.dim == space_dim(3, 4) - 3
+    if g.size == 1:
+        assert v.dim == space_dim(3, 2) - 1
+        assert s.dim == space_dim(3, 4) - 3
+    for f in basis_forms(v, 3, 2):
+        assert all(evaluate(f, p) == 0 for p in g.points)
     for f in basis_forms(s, 3, 4):
-        assert not any(gradient_eval(f, g.points[0]))
+        assert all(not any(gradient_eval(f, p)) for p in g.points)
 
 
 def test_known_dimensions_six_points():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conefaces.polynomials import (
     Form,
     ProjectivePoint,
+    derivative_rows,
     evaluate,
     gradient_eval,
     hessian_eval,
@@ -113,6 +114,28 @@ def test_multiply_matches_pointwise(f, g, p):
 def test_homogeneity(f, p):
     scaled = ProjectivePoint(tuple(3 * c for c in p.coords))
     assert evaluate(f, scaled) == rat(3) ** f.degree * evaluate(f, p)
+
+
+@given(
+    points(3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    st.integers(min_value=2, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_derivative_rows_rescale(p, lam, d):
+    # the matrix builders rely on this: rescaling a point scales its rows
+    scaled = [lam * c for c in p.coords]
+    for order in range(3):
+        rows = derivative_rows(p.coords, d, order)
+        assert len(rows) == space_dim(3, order)
+        assert derivative_rows(scaled, d, order) == [
+            tuple(lam ** (d - order) * x for x in row) for row in rows
+        ]
+    ints = ProjectivePoint(tuple(lam * c for c in p.coords)).integer_coords
+    assert all(type(x) is int for x in ints) and math.gcd(*ints) == 1
+    assert ProjectivePoint(ints).projectively_equal(p)
+    with pytest.raises(ValueError):
+        derivative_rows(p.coords, d, d + 1)
 
 
 @given(forms(3, 2))
