@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conefaces.constructions import EXAMPLE_SIX_POINTS, SEVEN_POINTS_PERTURBED
@@ -58,18 +58,29 @@ def test_point_configuration_validation():
             PointConfiguration.from_json(data)
 
 
+def test_vanishing_component_single_point():
+    g = PointConfiguration(3, ((1, 0, 0),))
+    v = vanishing_component(g, 2)
+    assert v.dim == space_dim(3, 2) - 1
+    for f in basis_forms(v, 3, 2):
+        assert evaluate(f, g.points[0]) == 0
+
+
+def test_symbolic_square_single_point():
+    g = PointConfiguration(3, ((1, 1, 1),))
+    s = symbolic_square_component(g, 4)
+    assert s.dim == space_dim(3, 4) - 3
+    for f in basis_forms(s, 3, 4):
+        assert not any(gradient_eval(f, g.points[0]))
+
+
 @given(configurations(3, 5))
-@example(PointConfiguration(3, ((1, 0, 0),)))
-@example(PointConfiguration(3, ((1, 1, 1),)))
 @settings(max_examples=60, deadline=None)
 def test_components_vanish_at_given_coordinates(g):
     # the kernels come from integer rescalings of the points; check them
     # against the rational coordinates as given
     v = vanishing_component(g, 2)
     s = symbolic_square_component(g, 4)
-    if g.size == 1:
-        assert v.dim == space_dim(3, 2) - 1
-        assert s.dim == space_dim(3, 4) - 3
     for f in basis_forms(v, 3, 2):
         assert all(evaluate(f, p) == 0 for p in g.points)
     for f in basis_forms(s, 3, 4):
