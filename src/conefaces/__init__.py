@@ -21,6 +21,7 @@ from .ideal_components import (
     alpha,
     face_report,
     ordinary_square_component,
+    ordinary_square_dim,
     symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,

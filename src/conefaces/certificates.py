@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .exact_linalg import Matrix, contains, det, nullspace
+from .exact_linalg import Matrix, contains, nullspace
 from .ideal_components import (
     PointConfiguration,
     ordinary_square_component,
@@ -94,10 +94,24 @@ def roundness_at(p: Form, s: ProjectivePoint) -> bool:
         ]
         for i in range(len(b))
     ]
-    for k in range(1, len(b) + 1):
-        minor = Matrix.from_rows([row[:k] for row in m[:k]])
-        if det(minor) <= 0:
+    return _positive_definite(m)
+
+
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion in one elimination pass without row exchanges.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading minor,
+    so every leading minor is positive iff every pivot is.
+    """
+    m = [list(row) for row in m]
+    for k in range(len(m)):
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
+        for i in range(k + 1, len(m)):
+            c = m[i][k] / pivot
+            if c:
+                m[i] = [a - c * b for a, b in zip(m[i], m[k])]
     return True
 
 

@@ -114,11 +114,7 @@ def cmd_certify(args):
 
 
 def cmd_gapscan(args):
-    k_range = None
-    if args.k_range:
-        lo, _, hi = args.k_range.partition("..")
-        k_range = (int(lo), int(hi))
-    profile = gap_profile(args.n, args.two_d, k_range)
+    profile = gap_profile(args.n, args.two_d, args.k_range)
     _emit(profile.to_json(), args.output)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -137,8 +133,27 @@ def cmd_random(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on bad arguments, which here means "indeterminate";
+    report them as usage errors instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _k_range(text):
+    try:
+        lo, hi = text.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected the form a..b, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conefaces",
         description="Exact dimensions of cone faces cut out by point configurations",
     )
@@ -186,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gapscan", help="closed-form gap bounds over k")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--two-d", type=int, required=True, dest="two_d")
-    p.add_argument("--k-range", dest="k_range", help="a..b")
+    p.add_argument("--k-range", dest="k_range", type=_k_range, help="a..b")
     p.add_argument("--csv", help="also write (k, gap) rows to this CSV file")
     p.add_argument("--output")
     p.set_defaults(func=cmd_gapscan)

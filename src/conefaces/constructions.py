@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .exact_linalg import Matrix, inverse, nullspace, span
-from .ideal_components import PointConfiguration, basis_forms, vanishing_component
+from .ideal_components import PointConfiguration, vanishing_component
 from .independence import is_d_independent
 from .polynomials import (
     Form,
@@ -289,9 +289,8 @@ def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
         return multiply(linear_form(u[line_idx]), conics[conic_idx]).normalized()
 
     Q = [cubic(0, 0), cubic(1, 1), cubic(2, 2)]
-    if span([q.coeffs for q in Q], space_dim(3, 3)) != span(
-        [f.coeffs for f in basis_forms(i3, 3, 3)], space_dim(3, 3)
-    ):
+    # subspaces are equal iff their canonical RREF bases are
+    if span([q.coeffs for q in Q], space_dim(3, 3)) != i3:
         # symmetric pairing failed; fall back to pairing the third conic
         # with the first line, which is the only other candidate
         warnings.warn(
@@ -299,9 +298,7 @@ def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
             "falling back to the first line"
         )
         Q[2] = cubic(0, 2)
-        if span([q.coeffs for q in Q], space_dim(3, 3)) != span(
-            [f.coeffs for f in basis_forms(i3, 3, 3)], space_dim(3, 3)
-        ):
+        if span([q.coeffs for q in Q], space_dim(3, 3)) != i3:
             raise GenericityError("no candidate cubic triple spans I_3")
 
     R = K

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exact_linalg import Matrix, Subspace, nullspace, rank, span
-from .polynomials import Form, ProjectivePoint, derivative_rows, space_dim
+from .polynomials import Form, ProjectivePoint, derivative_rows, product_rows, space_dim
 
 
 @dataclass(frozen=True)
@@ -112,41 +112,39 @@ def basis_forms(s: Subspace, n: int, d: int):
     return [Form(n, d, row) for row in s.basis_vectors()]
 
 
-def _product_vectors(g: PointConfiguration, e: int, a: int):
-    """Coefficient vectors of f*h for f in a basis of I_a, h in a basis of I_{e-a}."""
-    from .polynomials import multiply
+def _square_matrix(g: PointConfiguration, e: int) -> Matrix:
+    """Integer rows spanning the degree-e part of I(Gamma)^2.
 
-    b = e - a
-    fa = basis_forms(vanishing_component(g, a), g.n, a)
-    if a == b:
-        for i, f in enumerate(fa):
-            for h in fa[i:]:
-                yield multiply(f, h).coeffs
-    else:
-        fb = basis_forms(vanishing_component(g, b), g.n, b)
-        for f in fa:
-            for h in fb:
-                yield multiply(f, h).coeffs
-
-
-def ordinary_square_component(g: PointConfiguration, e: int) -> Subspace:
-    """Degree-e part of I(Gamma)^2: span of products over all degree splits.
-
-    Every split a + b = e with a, b >= alpha(Gamma) contributes; assuming a
-    single split is only valid when alpha equals e/2, which fails for small
-    configurations.
+    They are the products of the integer bases of I_a and I_{e-a} over every
+    split alpha(Gamma) <= a <= e - a (a single split is only valid when
+    alpha equals e/2, which fails for small configurations); for a = e - a
+    only the pairs i <= j.
     """
     if e < 2:
         raise ValueError("degree must be at least 2")
-    a0 = alpha(g)
-    ambient = space_dim(g.n, e)
-    vectors = []
-    for a in range(a0, e - a0 + 1):
-        if a > e - a:
-            break
-        vectors.extend(_product_vectors(g, e, a))
+    rows = []
+    for a in range(alpha(g), e // 2 + 1):
+        fa = vanishing_component(g, a).integer_basis_vectors()
+        if a == e - a:
+            for i, f in enumerate(fa):
+                rows += product_rows([f], fa[i:], g.n, a, a)
+        else:
+            fb = vanishing_component(g, e - a).integer_basis_vectors()
+            rows += product_rows(fa, fb, g.n, a, e - a)
+    return Matrix(len(rows), space_dim(g.n, e), tuple(rows))
+
+
+def ordinary_square_component(g: PointConfiguration, e: int) -> Subspace:
+    """Degree-e part of I(Gamma)^2: the span of _square_matrix."""
+    m = _square_matrix(g, e)
     # products all lie inside the symbolic square, whose dimension caps the rank
-    return span(vectors, ambient, max_dim=symbolic_square_dim(g, e))
+    return span(m.entries, m.cols, max_dim=symbolic_square_dim(g, e))
+
+
+def ordinary_square_dim(g: PointConfiguration, e: int) -> int:
+    """dim of the degree-e ordinary square without materializing a basis;
+    the symbolic square contains it, so its dimension bounds the rank."""
+    return rank(_square_matrix(g, e), bound=symbolic_square_dim(g, e))
 
 
 def alpha(g: PointConfiguration) -> int:
@@ -205,7 +203,7 @@ def face_report(g: PointConfiguration, d: int) -> FaceReport:
         d=d,
         gamma_size=g.size,
         dim_Id=vanishing_component(g, d).dim,
-        dim_I2_2d=ordinary_square_component(g, e).dim,
+        dim_I2_2d=ordinary_square_dim(g, e),
         dim_Isym2_2d=symbolic_square_dim(g, e),
         alpha=alpha(g),
         d_independent=is_d_independent(g, d).verdict,

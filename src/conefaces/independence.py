@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .exact_linalg import Matrix, rank
 from .ideal_components import PointConfiguration, vanishing_component, vanishing_dim
-from .polynomials import derivative_rows, monomial_basis, monomial_index, space_dim
+from .polynomials import derivative_rows, product_rows, space_dim
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,19 @@ def hilbert_function(g: PointConfiguration, d: int, k: int) -> int:
     """Hilbert function at degree k of the quotient by the ideal generated by I_d.
 
     The degree-k part of that ideal is spanned by the monomial multiples
-    x^a q of a basis q of I_d.  Each q is taken as a primitive integer
-    vector, so the rows are integer coefficient shifts; they lie inside
-    I_k(Gamma), whose dimension bounds their certified rank.
+    x^a q of a basis q of I_d: the products of the unit vectors of degree
+    k - d with the basis, each q taken as a primitive integer vector.  The
+    rows lie inside I_k(Gamma), whose dimension bounds their certified rank.
     """
     if k < d:
         raise ValueError("degree k must be at least d")
     basis = vanishing_component(g, d).integer_basis_vectors()
-    index = monomial_index(g.n, k)
-    ncols = space_dim(g.n, k)
-    degree_d = monomial_basis(g.n, d)
-    rows = []
-    for exp in monomial_basis(g.n, k - d):
-        shifted = [index[tuple(a + b for a, b in zip(e, exp))] for e in degree_d]
-        for q in basis:
-            row = [0] * ncols
-            for j, c in zip(shifted, q):
-                row[j] = c
-            rows.append(tuple(row))
+    count = space_dim(g.n, k - d)
+    units = [[int(i == j) for j in range(count)] for i in range(count)]
+    rows = product_rows(units, basis, g.n, k - d, d)
     # ints are exact rationals, so the rows need no coercion to Rat
-    m = Matrix(len(rows), ncols, tuple(rows))
-    return ncols - rank(m, bound=vanishing_dim(g, k))
+    m = Matrix(len(rows), space_dim(g.n, k), tuple(rows))
+    return m.cols - rank(m, bound=vanishing_dim(g, k))
 
 
 @lru_cache(maxsize=1024)

@@ -205,6 +205,33 @@ def derivative_rows(coords, d: int, order: int) -> list:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _product_plan(n: int, a: int, b: int) -> tuple:
+    """Per e of degree a, the column of x^e x^f in degree a + b per f of degree b."""
+    index = monomial_index(n, a + b)
+    return tuple(
+        tuple(index[tuple(map(sum, zip(e, f)))] for f in monomial_basis(n, b))
+        for e in monomial_basis(n, a)
+    )
+
+
+def product_rows(fs, hs, n: int, a: int, b: int) -> list:
+    """Coefficient rows of f*h for f in fs (degree a) and h in hs (degree b),
+    f-major; entries are exact in the type of the coefficients."""
+    plan = _product_plan(n, a, b)
+    hs = [[(j, x) for j, x in enumerate(h) if x] for h in hs]
+    rows = []
+    for f in fs:
+        terms = [(plan[i], c) for i, c in enumerate(f) if c]
+        for h in hs:
+            row = [0] * space_dim(n, a + b)
+            for cols, c in terms:
+                for j, x in h:
+                    row[cols[j]] += c * x
+            rows.append(tuple(row))
+    return rows
+
+
 def _dot(row, coeffs) -> "Rat":
     return sum((a * c for a, c in zip(row, coeffs) if a and c), ZERO)
 
@@ -243,27 +270,8 @@ def hessian_eval(f: Form, p: ProjectivePoint) -> Matrix:
 def multiply(f: Form, g: Form) -> Form:
     if f.n != g.n:
         raise ValueError("can only multiply forms in the same variables")
-    acc = {}
-    fterms = f.terms()
-    gterms = g.terms()
-    for ef, cf in fterms.items():
-        for eg, cg in gterms.items():
-            e = tuple(a + b for a, b in zip(ef, eg))
-            acc[e] = acc.get(e, ZERO) + cf * cg
-    return Form.from_terms(f.n, f.degree + g.degree, acc)
-
-
-def monomial_multiply(f: Form, exp) -> Form:
-    """Multiply by a single monomial: a pure exponent shift of coefficients."""
-    exp = tuple(exp)
-    shift = sum(exp)
-    index = monomial_index(f.n, f.degree + shift)
-    coeffs = [ZERO] * space_dim(f.n, f.degree + shift)
-    for ef, c in zip(monomial_basis(f.n, f.degree), f.coeffs):
-        if c:
-            e = tuple(a + b for a, b in zip(ef, exp))
-            coeffs[index[e]] = c
-    return Form(f.n, f.degree + shift, tuple(coeffs))
+    (row,) = product_rows([f.coeffs], [g.coeffs], f.n, f.degree, g.degree)
+    return Form(f.n, f.degree + g.degree, row)
 
 
 def linear_form(v) -> Form:

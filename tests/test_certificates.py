@@ -6,10 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conefaces
 from conefaces.certificates import (
     EPSILON_GRID,
+    _positive_definite,
     build_certificate,
     check_double_vanishing,
     epsilon_search,
@@ -23,6 +26,7 @@ from conefaces.constructions import (
     seven_point_scheme,
     six_point_scheme,
 )
+from conefaces.exact_linalg import Matrix, det
 from conefaces.ideal_components import PointConfiguration
 from conefaces.polynomials import Form, ProjectivePoint
 from conefaces.rational import rat
@@ -53,6 +57,32 @@ def test_roundness(six):
     assert not roundness_at(flat, ProjectivePoint((1, 0, 0, 0)))
     with pytest.raises(ValueError):
         roundness_at(Form.from_terms(4, 4, {(4, 0, 0, 0): 1}), ProjectivePoint((1, 1, 1, 1)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # B B^T + t I is positive definite for t > 0, semidefinite for t = 0
+    # and indefinite for some t < 0; plain symmetric draws cover zero pivots
+    k = draw(st.integers(min_value=1, max_value=5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    a = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        t = draw(st.fractions(min_value=-2, max_value=1, max_denominator=4))
+        return [
+            [sum(x * y for x, y in zip(a[i], a[j])) + (t if i == j else 0)
+             for j in range(k)]
+            for i in range(k)
+        ]
+    return [[a[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_positive_definite_matches_sylvester(m):
+    leading_minors = [
+        det(Matrix.from_rows([row[:k] for row in m[:k]])) for k in range(1, len(m) + 1)
+    ]
+    assert _positive_definite(m) == all(minor > 0 for minor in leading_minors)
 
 
 def test_certificate_six(six):

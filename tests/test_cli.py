@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, JSON output, determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from conefaces.cli import main
 from conefaces.ideal_components import PointConfiguration
@@ -128,6 +131,23 @@ def test_usage_error_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+    # argparse's own errors too: its exit code 2 would read as "indeterminate"
+    for argv in (
+        ["dims", "--d", "2", "--random-size", "3"],  # no --n
+        ["dims", "--n", "x", "--d", "2", "--random-size", "3"],
+        ["certify", "--case", "99"],
+        ["gapscan", "--n", "3", "--two-d", "8", "--k-range", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 10, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err
+    assert "a..b" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--help"])
+    assert exc.value.code == 0
 
 
 def test_unperturbed_guard_exit_code(tmp_path, capsys):
@@ -147,3 +167,43 @@ def test_unperturbed_guard_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(g.to_json()))
     code = main(["construct", "seven3", "--config", str(path)])
     assert code == 10
+
+
+# SHA-256 of the stdout of exact commands (no sampled floats).  Recorded by
+# running each command through main() at commit 55692b3, before products were
+# routed through polynomials.product_rows; a change that keeps these bytes
+# keeps every dimension, verdict, scheme and certificate they print.
+GOLDEN_STDOUT = {
+    "dims --n 4 --d 2 --random-size 6 --seed 1 --glp":
+        "f43408e9fa3253f6426a8e58fc263ff7b9dc38d5e4b10dc3a80c28941e50ab0b",
+    "dims --n 3 --d 3 --random-size 7 --seed 2":
+        "d4a7bf8e98acfc7f52736a07fc78d0f0671019aa31043765f2560597b52b147e",
+    "dims --n 3 --d 3 --random-size 8 --seed 3":
+        "237e531b285165697c3ffc6219468ad1a78e34dc7a0c4183f52e60a38bb41f9c",
+    "dims --n 3 --d 4 --random-size 12 --seed 5":
+        "45c1681f62d92fb7f9b2e3f601b3c4062e6877bc33498f664a428a2ffcd0301e",
+    "dims --n 3 --d 4 --random-size 10 --seed 5":
+        "a58b4998fbf7e68f3b1c501ff8e786e61163246d76b73011d37a9756c5c9ef02",
+    "independence --n 3 --d 2 --random-size 7 --seed 2":
+        "98f76c281de283b126a638aaed0f45a6fb162bdb129a8efbdfdeae1104862d53",
+    "construct six4":
+        "533af068f96fdcdffcdcf898ca8097ff39b7035d66db605f2e0d7092badc2904",
+    "construct seven3":
+        "54f08e2cf345cc889ff5623b5c63e43c654747139f86a7e23ef36e9941f139ad",
+    "construct snd --n 3 --d 3":
+        "225544f47f05357eb1f2e5def5a20918e2a97985a7bc0b3bfb9663d7662446cb",
+    "certify --case 36 --samples 0":
+        "dc8036e27bd02e1fac9486b8cbc4e20611e20b39864839249b22454590552d60",
+    "certify --case 44 --samples 0":
+        "a7cd96cbe160330a6bcdfb8e3188aa144bbe48efa67f5d0b6fa554cd662de64a",
+    "gapscan --n 3 --two-d 8":
+        "39124ab38b3057ac6d8baf3cc925319ac181c495e6c62c0cfe895ccaf264396d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    # the corpus has gaps 0, 1 and 3, verdicts "yes" and "no", and exit 1
+    main(command.split())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

@@ -15,6 +15,7 @@ from conefaces.ideal_components import (
     basis_forms,
     face_report,
     ordinary_square_component,
+    ordinary_square_dim,
     symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,
@@ -133,6 +134,7 @@ def test_symbolic_lower_bound(g):
 def test_certified_dims_match_bases(g):
     assert vanishing_dim(g, 2) == vanishing_component(g, 2).dim
     assert symbolic_square_dim(g, 4) == symbolic_square_component(g, 4).dim
+    assert ordinary_square_dim(g, 4) == ordinary_square_component(g, 4).dim
 
 
 def test_ordinary_square_rank_falls_back_where_bound_cannot_be_met():
@@ -147,6 +149,7 @@ def test_ordinary_square_rank_falls_back_where_bound_cannot_be_met():
     assert bound == 11
     assert rank(products, bound=bound) == rank(products) == 10
     assert ordinary_square_component(EXAMPLE_SIX_POINTS, 4).dim == 10
+    assert ordinary_square_dim(EXAMPLE_SIX_POINTS, 4) == 10
 
 
 def test_alpha_values():

@@ -21,7 +21,7 @@ from conefaces.independence import (
     is_d_independent,
     is_general_linear_position,
 )
-from conefaces.polynomials import monomial_basis, monomial_multiply, space_dim
+from conefaces.polynomials import Form, monomial_basis, multiply, space_dim
 from conefaces.sampling import random_configuration
 
 # four of the six points lie on x4 = 0, three of them collinear: any
@@ -88,7 +88,7 @@ def test_hilbert_function_falls_back_where_bound_cannot_be_met():
     quadrics = basis_forms(vanishing_component(g, 2), 4, 2)
     for k in (5, 6):
         products = Matrix.from_rows(
-            [monomial_multiply(q, exp).coeffs
+            [multiply(Form.from_terms(4, k - 2, {exp: 1}), q).coeffs
              for exp in monomial_basis(4, k - 2) for q in quadrics]
         )
         exact = space_dim(4, k) - rank(products)

@@ -16,7 +16,6 @@ from conefaces.polynomials import (
     linear_form,
     monomial_basis,
     monomial_index,
-    monomial_multiply,
     multiply,
     space_dim,
 )
@@ -138,11 +137,19 @@ def test_derivative_rows_rescale(p, lam, d):
         derivative_rows(p.coords, d, d + 1)
 
 
-@given(forms(3, 2))
-@settings(max_examples=100, deadline=None)
-def test_monomial_multiply_is_multiplication(f):
-    m = Form.from_terms(3, 2, {(1, 0, 1): 1})
-    assert monomial_multiply(f, (1, 0, 1)) == multiply(f, m)
+@given(forms(3, 2), forms(3, 3))
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1:4")
+
+    def poly(form):
+        terms = {exp: sympy.Rational(c) for exp, c in form.terms().items()}
+        return sympy.Poly.from_dict(terms, *xs)
+
+    product = (poly(f) * poly(g)).as_dict()
+    expected = [product.get(exp, 0) for exp in monomial_basis(3, 5)]
+    assert [sympy.Rational(c) for c in multiply(f, g).coeffs] == expected
 
 
 def test_linear_form():
