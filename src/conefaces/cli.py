@@ -106,7 +106,7 @@ def cmd_certify(args):
         g = _load_config(args.config) if args.config else SEVEN_POINTS_PERTURBED
         scheme = seven_point_scheme(g)
     cert = build_certificate(
-        list(scheme.Q), scheme.R, rat(args.epsilon), scheme.gamma,
+        list(scheme.Q), scheme.R, args.epsilon, scheme.gamma,
         samples=args.samples, seed=args.seed,
     )
     _emit(cert.to_json(), args.output)
@@ -152,6 +152,27 @@ def _k_range(text):
         ) from None
 
 
+def _rational(text):
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational a or a/b, got {text!r}"
+        ) from None
+
+
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}"
+        ) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conefaces",
@@ -192,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build a not-SOS certificate")
     p.add_argument("--case", required=True, choices=["44", "36"])
     p.add_argument("--config")
-    p.add_argument("--epsilon", default="1")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--epsilon", type=_rational, default="1")
+    p.add_argument("--samples", type=_nonnegative_int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_certify)

@@ -221,19 +221,30 @@ def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Kernel of m, as a canonical RREF subspace of dimension cols - rank."""
-    pivots = _echelon(m.entries, m.cols)
+    """Kernel of m, as a canonical RREF subspace of dimension cols - rank.
+
+    The columns are eliminated in reverse order, so each reduced pivot row
+    ends at its pivot column p: it is e_p plus entries at free columns
+    before p.  The kernel vector of a free column f is e_f minus the
+    entries at f of the pivot rows, which sit at pivot columns after f.
+    It leads at f and is zero at every other free column, so these
+    vectors, ordered by f, are already the canonical RREF basis of the
+    kernel and need no second elimination.
+    """
+    last = m.cols - 1
+    pivots = _echelon([row[::-1] for row in m.entries], m.cols)
     reduced = _back_substitute(pivots)
-    pivot_cols = [col for col, _ in pivots]
-    free_cols = [c for c in range(m.cols) if c not in set(pivot_cols)]
+    # pivot rows are reversed: original column c sits at index last - c
+    pivot_cols = [last - col for col, _ in pivots]
+    free_cols = sorted(set(range(m.cols)).difference(pivot_cols))
     basis = []
     for f in free_cols:
         v = [ZERO] * m.cols
         v[f] = ONE
-        for (col, row) in zip(pivot_cols, reduced):
-            v[col] = -row[f]
+        for col, row in zip(pivot_cols, reduced):
+            v[col] = -row[last - f]
         basis.append(v)
-    return span(basis, m.cols)
+    return Subspace(m.cols, Matrix.from_rows(basis, cols=m.cols))
 
 
 def contains(s: Subspace, v) -> bool:

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .exact_linalg import Matrix, Subspace, nullspace, rank, span
 from .polynomials import Form, ProjectivePoint, derivative_rows, product_rows, space_dim
+from .rational import rat
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,14 @@ class PointConfiguration:
     def from_json(cls, data):
         if not isinstance(data, dict) or not {"n", "points"} <= data.keys():
             raise ValueError("a configuration needs the keys 'n' and 'points'")
-        return cls(data["n"], tuple(tuple(c) for c in data["points"]))
+        points = data["points"]
+        if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
+            raise ValueError("'points' must be a list of coordinate lists")
+        try:
+            points = tuple(tuple(rat(c) for c in p) for p in points)
+        except TypeError:
+            raise ValueError("point coordinates must be rationals") from None
+        return cls(data["n"], points)
 
 
 @lru_cache(maxsize=512)

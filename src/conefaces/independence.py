@@ -7,6 +7,13 @@ polynomial of the quotient by the ideal generated by I_d equals the number
 of points, and the Hilbert function is guaranteed to have stabilized at
 degree (n-1)(d-1)+d whenever the set is d-independent.  Because the
 converse stabilization bound is not effective, the verdict is tri-state.
+
+Most sets settle below that window.  Let r be the regularity index of
+Gamma, the least t with HF_Gamma(t) = |Gamma|; I(Gamma) is generated in
+degrees <= r + 1 (Eisenbud, The Geometry of Syzygies, GTM 229, ch. 4).
+So once the ideal generated by I_d fills I_k(Gamma) at some k >= r + 1,
+it fills every larger degree too, and the Hilbert function is |Gamma|
+from k on: one rank decides the whole window.
 """
 
 from __future__ import annotations
@@ -77,8 +84,37 @@ def hilbert_function(g: PointConfiguration, d: int, k: int) -> int:
     return m.cols - rank(m, bound=vanishing_dim(g, k))
 
 
+def _settled_values(g: PointConfiguration, d: int, k_star: int) -> dict:
+    """Hilbert function values {k: HF(k)} ranked at degrees up to k*, for a
+    set that satisfies condition 2.
+
+    Condition 2 makes the degree-d value rows independent, so the
+    regularity index r <= d exists.  The scan runs from max(d, r + 1) up to
+    k*; the first degree whose value is |Gamma| fixes the values at k* and
+    k* + 1 to |Gamma|.  Otherwise the scan ends with HF(k*).
+    """
+    r = next(t for t in range(1, d + 1)
+             if space_dim(g.n, t) - vanishing_dim(g, t) == g.size)
+    values = {}
+    for k in range(max(d, r + 1), k_star + 1):
+        values[k] = hilbert_function(g, d, k)
+        if values[k] == g.size:
+            values[k_star] = values[k_star + 1] = g.size
+            break
+    return values
+
+
 @lru_cache(maxsize=1024)
 def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
+    """Tri-state d-independence: condition 2 plus the Hilbert-function
+    window k* .. k* + 1 (extended up to k* + n while it has not stabilized),
+    k* = (n-1)(d-1) + d.
+
+    When condition 2 holds, the Hilbert function is first scanned upward
+    from max(d, r + 1), r the regularity index: once it reaches |Gamma| at
+    some k <= k*, it stays |Gamma| (see the module docstring), and no
+    window degree is ranked.
+    """
     k_star = (g.n - 1) * (d - 1) + d
     try:
         cond2 = condition2_holds(g, d)
@@ -86,8 +122,11 @@ def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
         # ambient space too small to reach the codimension: condition 2 fails
         cond2 = False
 
-    values = [(k_star, hilbert_function(g, d, k_star))]
-    values.append((k_star + 1, hilbert_function(g, d, k_star + 1)))
+    known = _settled_values(g, d, k_star) if cond2 else {}
+    values = [
+        (k, known[k] if k in known else hilbert_function(g, d, k))
+        for k in (k_star, k_star + 1)
+    ]
     used = k_star + 1
     # extend past an unstabilized window, up to k* + n, before giving up
     while values[-1][1] != values[-2][1] and used < k_star + g.n:

@@ -18,6 +18,8 @@ def random_configuration(n: int, size: int, seed: int = 0, glp: bool = False,
 
     Generic configurations of size up to binomial(n+d-1, d) - n are
     d-independent, so rejection terminates almost immediately in practice.
+    max_rejects bounds the rejected configurations, and within each the
+    zero or repeated point draws; past either budget, ValueError.
     """
     if d_independent is not None:
         limit = math.comb(n + d_independent - 1, d_independent) - n
@@ -30,16 +32,22 @@ def random_configuration(n: int, size: int, seed: int = 0, glp: bool = False,
     for _ in range(max_rejects):
         points = []
         seen = set()
+        rejects = 0
         while len(points) < size:
             coords = tuple(rng.randint(-bound, bound) for _ in range(n))
-            if not any(coords):
-                continue
-            p = ProjectivePoint(coords)
-            key = p.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            points.append(p)
+            if any(coords):
+                p = ProjectivePoint(coords)
+                key = p.canonical()
+                if key not in seen:
+                    seen.add(key)
+                    points.append(p)
+                    continue
+            rejects += 1
+            if rejects > max_rejects:
+                raise ValueError(
+                    f"could not draw {size} distinct projective points in {n} "
+                    f"variables with coordinates in [-{bound}, {bound}]"
+                )
         g = PointConfiguration(n, tuple(points))
         if glp and not is_general_linear_position(g):
             continue

@@ -121,11 +121,20 @@ def test_usage_error_exit_code(tmp_path, capsys):
     plane.write_text(json.dumps({"n": 3, "points": [[1, 0, 0], [0, 1, 0]]}))
     no_n = tmp_path / "no_n.json"
     no_n.write_text(json.dumps({"points": [[1, 0, 0], [0, 1, 0]]}))
+    int_points = tmp_path / "int_points.json"
+    int_points.write_text(json.dumps({"n": 3, "points": 5}))
+    null_coord = tmp_path / "null_coord.json"
+    null_coord.write_text(json.dumps({"n": 3, "points": [[1, None, 0]]}))
     for argv in (
         ["dims", "--n", "3", "--d", "2"],  # neither --config nor --random-size
         ["dims", "--n", "5", "--d", "2", "--config", str(plane)],
         ["dims", "--n", "3", "--d", "2", "--config", str(no_n)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(int_points)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(null_coord)],
         ["independence", "--n", "5", "--d", "2", "--config", str(plane)],
+        # too few projective points to draw: these used to loop forever
+        ["random", "--n", "1", "--size", "2"],
+        ["dims", "--n", "0", "--d", "2", "--random-size", "1"],
     ):
         assert main(argv) == 10, argv
         captured = capsys.readouterr()
@@ -136,6 +145,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["dims", "--d", "2", "--random-size", "3"],  # no --n
         ["dims", "--n", "x", "--d", "2", "--random-size", "3"],
         ["certify", "--case", "99"],
+        ["certify", "--case", "36", "--epsilon", "1/0"],
+        ["certify", "--case", "36", "--samples", "-3"],
         ["gapscan", "--n", "3", "--two-d", "8", "--k-range", "3"],
     ):
         with pytest.raises(SystemExit) as exc:

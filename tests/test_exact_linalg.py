@@ -79,6 +79,39 @@ def rank_deficient(base):
     )
 
 
+def zero_columns(base):
+    """Matrices with zero columns spliced in: their unit vectors are kernel
+    vectors, and free columns sit between pivot columns."""
+
+    def insert(m, positions):
+        rows = [list(r) for r in m.entries]
+        for pos in positions:
+            for row in rows:
+                row.insert(pos, ZERO)
+        return Matrix.from_rows(rows, cols=m.cols + len(positions))
+
+    return base.flatmap(
+        lambda m: st.lists(st.integers(0, m.cols), max_size=3).map(
+            lambda positions: insert(m, positions)
+        )
+    )
+
+
+# kernel inputs: full-rank and rank-deficient, with zero columns, and the
+# degenerate shapes with no rows or no columns
+kernel_matrices = st.one_of(
+    matrices(),
+    integer_matrices(),
+    rank_deficient(matrices(max_rows=3)),
+    zero_columns(rank_deficient(matrices(max_rows=3, max_cols=4))),
+    st.sampled_from([
+        Matrix.from_rows([], cols=3),
+        Matrix(2, 0, ((), ())),
+        Matrix.from_rows([[0, 0, 0], [0, 0, 0]]),
+    ]),
+)
+
+
 def test_from_rows_validates():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [3]])
@@ -114,6 +147,32 @@ def test_rank_nullity(m):
 def test_nullspace_vectors_annihilate(m):
     for v in nullspace(m).basis_vectors():
         assert not any(matvec(m, v))
+
+
+@given(kernel_matrices)
+@settings(max_examples=120, deadline=None)
+def test_nullspace_is_canonical(m):
+    # nullspace builds its basis without a second elimination; it must
+    # still be the RREF basis that span gives
+    s = nullspace(m)
+    assert s == span(s.basis_vectors(), m.cols)
+
+
+@given(kernel_matrices)
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    entries = [rat(x) for row in m.entries for x in row]
+    sm = sympy.Matrix(
+        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in entries]
+    )
+    kernel = sm.nullspace()
+    expected = (
+        sympy.Matrix.hstack(*kernel).T.rref()[0].tolist() if kernel else []
+    )
+    got = [[sympy.Rational(x.numerator, x.denominator) for x in v]
+           for v in nullspace(m).basis_vectors()]
+    assert got == expected
 
 
 @given(matrices())

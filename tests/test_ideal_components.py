@@ -54,7 +54,14 @@ def test_point_configuration_validation():
         PointConfiguration(3, ((1, 0),))
     g = PointConfiguration(2, ((1, 0), (0, 1)))
     assert PointConfiguration.from_json(g.to_json()) == g
-    for data in ({"points": [[1, 0]]}, {"n": 2}, [[1, 0]]):
+    for data in (
+        {"points": [[1, 0]]},
+        {"n": 2},
+        [[1, 0]],
+        {"n": 2, "points": 5},
+        {"n": 2, "points": [5]},
+        {"n": 2, "points": [[1, None]]},
+    ):
         with pytest.raises(ValueError):
             PointConfiguration.from_json(data)
 

@@ -97,6 +97,30 @@ def test_hilbert_function_falls_back_where_bound_cannot_be_met():
         assert hilbert_function(g, 2, k) == exact
 
 
+@pytest.mark.parametrize(
+    "n, size, d, verdict, settled",
+    [
+        (4, 6, 2, "yes", 6),
+        (3, 6, 3, "yes", 6),
+        (3, 10, 4, "yes", 10),
+        # condition 2 holds, but two cubics through 8 general plane points
+        # meet in a ninth, and three quadrics through 7 general points in
+        # P^3 in an eighth: the scan below k* never reaches |Gamma|
+        (3, 8, 3, "no", 9),
+        (4, 7, 2, "no", 8),
+    ],
+)
+def test_hilbert_values_match_direct_ranks(n, size, d, verdict, settled):
+    # values read off below the window equal the ranks at the window degrees
+    g = random_configuration(n, size, seed=0)
+    report = is_d_independent(g, d)
+    assert report.condition2
+    assert report.verdict == verdict
+    assert report.hilbert_values[-1][1] == settled
+    for k, value in report.hilbert_values:
+        assert hilbert_function(g, d, k) == value
+
+
 def test_four_coplanar_but_generic_is_still_independent():
     # coplanarity alone does not break 2-independence
     g = PointConfiguration(
