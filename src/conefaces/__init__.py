@@ -3,7 +3,17 @@ sums-of-squares cones, via degree components of vanishing ideals of
 projective point configurations."""
 
 from .rational import Rat, rat, rat_str
-from .exact_linalg import Matrix, Subspace, contains, det, nullspace, rank, rref, span
+from .exact_linalg import (
+    Matrix,
+    Subspace,
+    contains,
+    det,
+    meets_bound,
+    nullspace,
+    rank,
+    rref,
+    span,
+)
 from .polynomials import (
     Form,
     ProjectivePoint,
@@ -22,6 +32,7 @@ from .ideal_components import (
     face_report,
     ordinary_square_component,
     ordinary_square_dim,
+    regularity_index,
     symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,
@@ -31,6 +42,7 @@ from .independence import (
     IndependenceReport,
     condition2_holds,
     hilbert_function,
+    independence_verdict,
     is_d_independent,
     is_general_linear_position,
 )

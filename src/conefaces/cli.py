@@ -173,6 +173,22 @@ def _nonnegative_int(text):
     return value
 
 
+def _join_epsilon(argv):
+    """Attach the value after --epsilon as --epsilon=VALUE.
+
+    argparse reads a token that starts with "-" and is not a plain number,
+    such as -1/3, as an option name, so a negative rational could otherwise
+    be given only in the attached form.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--epsilon":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conefaces",
@@ -241,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_epsilon(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .exact_linalg import Matrix, inverse, nullspace, span
 from .ideal_components import PointConfiguration, vanishing_component
-from .independence import is_d_independent
+from .independence import independence_verdict
 from .polynomials import (
     Form,
     ProjectivePoint,
@@ -243,7 +243,7 @@ CONIC_POINT_SETS = ((3, 4, 5, 6, 7), (1, 2, 5, 6, 7), (1, 2, 3, 4, 7))
 def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
     if g.n != 3 or g.size != 7:
         raise ValueError("need exactly 7 points in 3 variables")
-    if is_d_independent(g, 3).verdict != "yes":
+    if independence_verdict(g, 3) != "yes":
         raise ValueError("the seven points must be 3-independent")
 
     def line_normal(i, j):

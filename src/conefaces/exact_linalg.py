@@ -10,7 +10,9 @@ Bases and subspaces always come from rational elimination.  A rank whose
 caller knows a proven upper bound is first taken modulo a word-size prime;
 the modular rank never exceeds the rank over Q, so when it meets the bound
 it is the exact rank, and otherwise rational elimination decides.  Either
-way the rank returned is exact over Q.
+way the rank returned is exact over Q.  A caller that needs only to know
+whether the rank meets its bound asks meets_bound, the modular check
+alone, which never eliminates over Q.
 """
 
 from __future__ import annotations
@@ -156,22 +158,29 @@ def _rank_mod_p(rows, ncols, stop):
     return r
 
 
+def meets_bound(m: Matrix, bound: int) -> bool:
+    """Whether the rank of m is certified to equal bound, a proven upper
+    bound on it, without rational elimination.
+
+    Each row is scaled to a primitive integer vector, which keeps the rank,
+    and the rank is taken modulo PRIME.  Rank mod p is at most the rank
+    over Q, so a modular rank equal to bound proves the rank is bound.
+    False means the rank is below the bound, or the prime divides a minor.
+    """
+    rows = [_integer_row(r) for r in m.entries]
+    return _rank_mod_p(rows, m.cols, bound) == bound
+
+
 def rank(m: Matrix, bound=None) -> int:
     """Rank of m over Q.
 
-    bound, when given, must be a proven upper bound on the rank.  Each row
-    is then scaled to a primitive integer vector, which keeps the rank, and
-    the rank is taken modulo PRIME.  Rank mod p is at most the rank over Q,
-    so a modular rank equal to bound is the exact rank; otherwise (the rank
-    is below the bound, or the prime divides a minor) exact elimination
+    bound, when given, must be a proven upper bound on the rank.  Where
+    meets_bound certifies it, it is the rank; otherwise exact elimination
     decides.  An unlucky prime can cost time, never a wrong answer.
     """
-    if bound is None:
-        return len(_echelon(m.entries, m.cols))
-    rows = [_integer_row(r) for r in m.entries]
-    if _rank_mod_p(rows, m.cols, bound) == bound:
+    if bound is not None and meets_bound(m, bound):
         return bound
-    return len(_echelon(rows, m.cols, max_rank=bound))
+    return len(_echelon(m.entries, m.cols, max_rank=bound))
 
 
 @dataclass(frozen=True)

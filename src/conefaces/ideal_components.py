@@ -3,6 +3,13 @@
 Computes I_d(Gamma), the degree-2d parts of the ordinary and symbolic
 squares of I(Gamma), the initial degree alpha, and assembles the face
 dimension report that the rest of the library revolves around.
+
+The ordinary square is spanned by products I_a * I_b with a + b = e.
+Because I(Gamma) is generated in degrees <= r + 1, r the regularity index,
+only the splits with b between ceil(e/2) and max(ceil(e/2), r + 1) are
+needed: at e = 2d with r < d, just I_d * I_d.  The rank of those products
+is certified against their row count or dim I^(2)_e, whichever is less,
+and a basis is the symbolic square's wherever the two dimensions agree.
 """
 
 from __future__ import annotations
@@ -123,15 +130,20 @@ def basis_forms(s: Subspace, n: int, d: int):
 def _square_matrix(g: PointConfiguration, e: int) -> Matrix:
     """Integer rows spanning the degree-e part of I(Gamma)^2.
 
-    They are the products of the integer bases of I_a and I_{e-a} over every
-    split alpha(Gamma) <= a <= e - a (a single split is only valid when
-    alpha equals e/2, which fails for small configurations); for a = e - a
-    only the pairs i <= j.
+    I(Gamma) is generated in degrees <= r + 1, r the regularity index
+    (Eisenbud, The Geometry of Syzygies, GTM 229, ch. 4).  So for
+    r + 1 <= b' <= b, I_b = S_{b-b'} I_{b'} and I_a I_b lies in
+    I_{a+b-b'} I_{b'}: the splits a + b = e with ceil(e/2) <= b <=
+    max(ceil(e/2), r + 1) and a >= alpha(Gamma) span every other.  The rows
+    are the products of the integer bases of I_a and I_b over those
+    splits; for a = b only the pairs i <= j.  For e = 2d and r < d they are
+    the products of I_d alone.
     """
     if e < 2:
         raise ValueError("degree must be at least 2")
+    top = max((e + 1) // 2, regularity_index(g) + 1)
     rows = []
-    for a in range(alpha(g), e // 2 + 1):
+    for a in range(max(alpha(g), e - top), e // 2 + 1):
         fa = vanishing_component(g, a).integer_basis_vectors()
         if a == e - a:
             for i, f in enumerate(fa):
@@ -142,17 +154,43 @@ def _square_matrix(g: PointConfiguration, e: int) -> Matrix:
     return Matrix(len(rows), space_dim(g.n, e), tuple(rows))
 
 
-def ordinary_square_component(g: PointConfiguration, e: int) -> Subspace:
-    """Degree-e part of I(Gamma)^2: the span of _square_matrix."""
+def _ordinary_square(g: PointConfiguration, e: int):
+    """_square_matrix(g, e) and its certified rank.
+
+    The rank is at most the row count, and at most dim I^(2)_e, since every
+    product lies in the symbolic square; the lesser is its bound.  Where
+    the products are independent, as in the strict-gap cases, the modular
+    rank meets the row count.
+    """
     m = _square_matrix(g, e)
-    # products all lie inside the symbolic square, whose dimension caps the rank
-    return span(m.entries, m.cols, max_dim=symbolic_square_dim(g, e))
+    return m, rank(m, bound=min(m.rows, symbolic_square_dim(g, e)))
+
+
+def ordinary_square_component(g: PointConfiguration, e: int) -> Subspace:
+    """Degree-e part of I(Gamma)^2.
+
+    It lies inside the symbolic square, so where their certified dimensions
+    agree it is the symbolic square; otherwise it is the span of
+    _square_matrix, whose elimination stops at the certified rank.
+    """
+    m, dim = _ordinary_square(g, e)
+    if 0 < dim == symbolic_square_dim(g, e):
+        return symbolic_square_component(g, e)
+    return span(m.entries, m.cols, max_dim=dim)
 
 
 def ordinary_square_dim(g: PointConfiguration, e: int) -> int:
-    """dim of the degree-e ordinary square without materializing a basis;
-    the symbolic square contains it, so its dimension bounds the rank."""
-    return rank(_square_matrix(g, e), bound=symbolic_square_dim(g, e))
+    """dim of the degree-e ordinary square without materializing a basis."""
+    return _ordinary_square(g, e)[1]
+
+
+def regularity_index(g: PointConfiguration) -> int:
+    """The least t >= 1 with HF_Gamma(t) = |Gamma|: from t on, the degree-t
+    values at the points are independent."""
+    t = 1
+    while space_dim(g.n, t) - vanishing_dim(g, t) != g.size:
+        t += 1
+    return t
 
 
 def alpha(g: PointConfiguration) -> int:
@@ -203,7 +241,7 @@ class FaceReport:
 def face_report(g: PointConfiguration, d: int) -> FaceReport:
     if d < 1:
         raise ValueError("degree must be at least 1")
-    from .independence import is_d_independent
+    from .independence import independence_verdict
 
     e = 2 * d
     return FaceReport(
@@ -214,5 +252,5 @@ def face_report(g: PointConfiguration, d: int) -> FaceReport:
         dim_I2_2d=ordinary_square_dim(g, e),
         dim_Isym2_2d=symbolic_square_dim(g, e),
         alpha=alpha(g),
-        d_independent=is_d_independent(g, d).verdict,
+        d_independent=independence_verdict(g, d),
     )

@@ -14,6 +14,10 @@ degrees <= r + 1 (Eisenbud, The Geometry of Syzygies, GTM 229, ch. 4).
 So once the ideal generated by I_d fills I_k(Gamma) at some k >= r + 1,
 it fills every larger degree too, and the Hilbert function is |Gamma|
 from k on: one rank decides the whole window.
+
+When condition 2 fails the verdict is "no" whatever the Hilbert function
+says; independence_verdict then returns it without ranking any value, and
+only is_d_independent, whose report prints the window, ranks it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exact_linalg import Matrix, rank
-from .ideal_components import PointConfiguration, vanishing_component, vanishing_dim
+from .exact_linalg import Matrix, meets_bound, rank
+from .ideal_components import (
+    PointConfiguration,
+    regularity_index,
+    vanishing_component,
+    vanishing_dim,
+)
 from .polynomials import derivative_rows, product_rows, space_dim
 
 
@@ -65,13 +74,13 @@ def condition2_holds(g: PointConfiguration, d: int) -> bool:
     return True
 
 
-def hilbert_function(g: PointConfiguration, d: int, k: int) -> int:
-    """Hilbert function at degree k of the quotient by the ideal generated by I_d.
+def _ideal_matrix(g: PointConfiguration, d: int, k: int) -> Matrix:
+    """Integer rows spanning the degree-k part of the ideal generated by I_d.
 
-    The degree-k part of that ideal is spanned by the monomial multiples
-    x^a q of a basis q of I_d: the products of the unit vectors of degree
-    k - d with the basis, each q taken as a primitive integer vector.  The
-    rows lie inside I_k(Gamma), whose dimension bounds their certified rank.
+    They are the monomial multiples x^a q of a basis q of I_d: the products
+    of the unit vectors of degree k - d with the basis, each q taken as a
+    primitive integer vector.  They lie inside I_k(Gamma), whose dimension
+    bounds their rank.
     """
     if k < d:
         raise ValueError("degree k must be at least d")
@@ -80,48 +89,49 @@ def hilbert_function(g: PointConfiguration, d: int, k: int) -> int:
     units = [[int(i == j) for j in range(count)] for i in range(count)]
     rows = product_rows(units, basis, g.n, k - d, d)
     # ints are exact rationals, so the rows need no coercion to Rat
-    m = Matrix(len(rows), space_dim(g.n, k), tuple(rows))
+    return Matrix(len(rows), space_dim(g.n, k), tuple(rows))
+
+
+def hilbert_function(g: PointConfiguration, d: int, k: int) -> int:
+    """Hilbert function at degree k of the quotient by the ideal generated
+    by I_d, by a rank certified against dim I_k(Gamma)."""
+    m = _ideal_matrix(g, d, k)
     return m.cols - rank(m, bound=vanishing_dim(g, k))
 
 
 def _settled_values(g: PointConfiguration, d: int, k_star: int) -> dict:
-    """Hilbert function values {k: HF(k)} ranked at degrees up to k*, for a
-    set that satisfies condition 2.
+    """Hilbert function values {k: HF(k)} at k* and, where it follows, k* + 1,
+    for a set that satisfies condition 2.
 
     Condition 2 makes the degree-d value rows independent, so the
-    regularity index r <= d exists.  The scan runs from max(d, r + 1) up to
-    k*; the first degree whose value is |Gamma| fixes the values at k* and
-    k* + 1 to |Gamma|.  Otherwise the scan ends with HF(k*).
+    regularity index r <= d.  The scan runs from max(d, r + 1) up to k*; the
+    first degree whose value is |Gamma| fixes the values at k* and k* + 1 to
+    |Gamma|.  Degrees below k* are never reported, so there the value is
+    |Gamma| only where meets_bound certifies it, and any other outcome moves
+    on with no rational elimination; k* itself is ranked exactly.
     """
-    r = next(t for t in range(1, d + 1)
-             if space_dim(g.n, t) - vanishing_dim(g, t) == g.size)
-    values = {}
-    for k in range(max(d, r + 1), k_star + 1):
-        values[k] = hilbert_function(g, d, k)
-        if values[k] == g.size:
-            values[k_star] = values[k_star + 1] = g.size
-            break
-    return values
+    settled = {k_star: g.size, k_star + 1: g.size}
+    first = max(d, regularity_index(g) + 1)
+    for k in range(first, k_star):
+        if meets_bound(_ideal_matrix(g, d, k), vanishing_dim(g, k)):
+            return settled
+    if first > k_star:
+        return {}
+    value = hilbert_function(g, d, k_star)
+    return settled if value == g.size else {k_star: value}
 
 
-@lru_cache(maxsize=1024)
-def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
-    """Tri-state d-independence: condition 2 plus the Hilbert-function
-    window k* .. k* + 1 (extended up to k* + n while it has not stabilized),
-    k* = (n-1)(d-1) + d.
-
-    When condition 2 holds, the Hilbert function is first scanned upward
-    from max(d, r + 1), r the regularity index: once it reaches |Gamma| at
-    some k <= k*, it stays |Gamma| (see the module docstring), and no
-    window degree is ranked.
-    """
-    k_star = (g.n - 1) * (d - 1) + d
+def _condition2(g: PointConfiguration, d: int) -> bool:
     try:
-        cond2 = condition2_holds(g, d)
+        return condition2_holds(g, d)
     except ValueError:
         # ambient space too small to reach the codimension: condition 2 fails
-        cond2 = False
+        return False
 
+
+def _report(g: PointConfiguration, d: int, cond2: bool) -> IndependenceReport:
+    """The report of is_d_independent, given the value of condition 2."""
+    k_star = (g.n - 1) * (d - 1) + d
     known = _settled_values(g, d, k_star) if cond2 else {}
     values = [
         (k, known[k] if k in known else hilbert_function(g, d, k))
@@ -148,6 +158,27 @@ def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
         verdict=verdict,
         stabilization_degree_used=used,
     )
+
+
+@lru_cache(maxsize=1024)
+def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
+    """Tri-state d-independence: condition 2 plus the Hilbert-function
+    window k* .. k* + 1 (extended up to k* + n while it has not stabilized),
+    k* = (n-1)(d-1) + d.
+
+    When condition 2 holds, the Hilbert function is first scanned upward
+    from max(d, r + 1), r the regularity index: once it reaches |Gamma| at
+    some k <= k*, it stays |Gamma| (see the module docstring), and no
+    window degree is ranked.  The window is ranked whatever condition 2
+    says, since the report prints it.
+    """
+    return _report(g, d, _condition2(g, d))
+
+
+def independence_verdict(g: PointConfiguration, d: int) -> str:
+    """is_d_independent(g, d).verdict, which is "no" as soon as condition 2
+    fails: then no Hilbert function value is ranked."""
+    return _report(g, d, True).verdict if _condition2(g, d) else "no"
 
 
 def is_general_linear_position(g: PointConfiguration) -> bool:

@@ -6,7 +6,7 @@ import math
 import random
 
 from .ideal_components import PointConfiguration
-from .independence import is_d_independent, is_general_linear_position
+from .independence import independence_verdict, is_general_linear_position
 from .polynomials import ProjectivePoint
 
 
@@ -51,7 +51,7 @@ def random_configuration(n: int, size: int, seed: int = 0, glp: bool = False,
         g = PointConfiguration(n, tuple(points))
         if glp and not is_general_linear_position(g):
             continue
-        if d_independent is not None and is_d_independent(g, d_independent).verdict != "yes":
+        if d_independent is not None and independence_verdict(g, d_independent) != "yes":
             continue
         return g
     raise ValueError("rejection sampling failed; the requirement may be unattainable")

@@ -85,6 +85,17 @@ def test_certify_epsilon_zero_is_sos(capsys):
     assert data["not_sos_proof"]["in_ordinary_square"]
 
 
+def test_certify_negative_epsilon(capsys):
+    # -1/3 does not look like a number to argparse; it must still be read
+    # as the value of --epsilon, as in the attached form
+    argv = ["certify", "--case", "44", "--samples", "50", "--seed", "0"]
+    code = main(argv + ["--epsilon", "-1/3"])
+    separate = capsys.readouterr().out
+    assert code == main(argv + ["--epsilon=-1/3"])
+    assert separate == capsys.readouterr().out
+    assert json.loads(separate)["epsilon"] == "-1/3"
+
+
 def test_gapscan(tmp_path, capsys):
     csv_path = tmp_path / "gaps.csv"
     code, data = run(

@@ -15,6 +15,7 @@ from conefaces.exact_linalg import (
     det,
     inverse,
     matvec,
+    meets_bound,
     nullspace,
     rank,
     rref,
@@ -205,6 +206,8 @@ def test_certified_rank_matches_exact(m, slack):
     # bound cannot be met and exact elimination decides
     exact = rank(Matrix.from_rows(m.entries, cols=m.cols))
     assert rank(m, bound=exact + slack) == exact
+    if slack:
+        assert not meets_bound(m, exact + slack)
 
 
 def test_certified_rank_survives_unlucky_prime():
@@ -215,6 +218,7 @@ def test_certified_rank_survives_unlucky_prime():
         Matrix(2, 2, ((1, 1), (1, PRIME + 1))),
         Matrix.from_rows([[Fraction(1, 2), Fraction(1, 2)], [1, PRIME + 1]]),
     ):
+        assert not meets_bound(m, 2)
         assert rank(m, bound=2) == rank(m) == 2
 
 

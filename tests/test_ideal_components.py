@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conefaces import exact_linalg
 from conefaces.constructions import EXAMPLE_SIX_POINTS, SEVEN_POINTS_PERTURBED
-from conefaces.exact_linalg import Matrix, contains, rank
+from conefaces.exact_linalg import Matrix, contains, rank, span
+from conefaces.gap_analysis import ternary_prediction
 from conefaces.ideal_components import (
     FaceReport,
     PointConfiguration,
@@ -16,12 +18,14 @@ from conefaces.ideal_components import (
     face_report,
     ordinary_square_component,
     ordinary_square_dim,
+    regularity_index,
     symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,
     vanishing_dim,
 )
 from conefaces.polynomials import evaluate, gradient_eval, multiply, space_dim
+from conefaces.sampling import random_configuration
 
 
 def configurations(n, max_size):
@@ -43,6 +47,21 @@ def configurations(n, max_size):
         .map(build)
         .filter(lambda g: g is not None)
     )
+
+
+def on_curve(n, point_at, max_size):
+    """Sets of distinct points point_at(t) for distinct integer parameters t."""
+    return st.lists(
+        st.integers(min_value=-6, max_value=6), min_size=1, max_size=max_size,
+        unique=True,
+    ).map(lambda ts: PointConfiguration(n, tuple(point_at(t) for t in ts)))
+
+
+# a line and a conic in general coordinates: the regularity index of k
+# points is k - 1 on the line and ceil((k - 1)/2) on the conic, and at least 1
+PLANE_LINE = on_curve(3, lambda t: (1 + 2 * t, 3 - t, 2 + 5 * t), 7)
+SPACE_LINE = on_curve(4, lambda t: (1 + t, 2 - 3 * t, t, 4 + t), 5)
+PLANE_CONIC = on_curve(3, lambda t: (t * t + t + 1, 2 * t * t - 1, t * t - 3 * t), 7)
 
 
 def test_point_configuration_validation():
@@ -108,7 +127,9 @@ def test_known_dimensions_seven_points():
 
 
 def test_ordinary_square_uses_all_splits():
-    # two plane points: alpha = 1, so degree-4 products include 1+3 splits
+    # two plane points: alpha = 1, but I(Gamma) is generated in degrees
+    # <= r + 1 = 2, so the rows are the products of I_2 alone; the 1+3
+    # products must lie in their span
     g = PointConfiguration(3, ((1, 0, 0), (0, 1, 0)))
     assert alpha(g) == 1
     ordi = ordinary_square_component(g, 4)
@@ -144,10 +165,81 @@ def test_certified_dims_match_bases(g):
     assert ordinary_square_dim(g, 4) == ordinary_square_component(g, 4).dim
 
 
+def all_splits_span(g, e):
+    """I^2_e as the span of the products over every split alpha <= a <= e/2,
+    with no use of the generation degree (for a = e - a, the pairs i <= j)."""
+    products = []
+    for a in range(alpha(g), e // 2 + 1):
+        fa = basis_forms(vanishing_component(g, a), g.n, a)
+        fb = basis_forms(vanishing_component(g, e - a), g.n, e - a)
+        for i, f in enumerate(fa):
+            products += [multiply(f, h).coeffs for h in fb[i if a == e - a else 0:]]
+    return span(products, space_dim(g.n, e))
+
+
+@given(
+    st.one_of(configurations(3, 7), PLANE_LINE, PLANE_CONIC),
+    st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_ordinary_square_matches_all_splits_plane(g, e):
+    square = ordinary_square_component(g, e)
+    assert square == all_splits_span(g, e)
+    assert ordinary_square_dim(g, e) == square.dim
+
+
+@given(
+    st.one_of(configurations(4, 5), SPACE_LINE),
+    st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=15, deadline=None)
+def test_ordinary_square_matches_all_splits_space(g, e):
+    square = ordinary_square_component(g, e)
+    assert square == all_splits_span(g, e)
+    assert ordinary_square_dim(g, e) == square.dim
+
+
+def test_regularity_index():
+    def line(k):
+        return PointConfiguration(3, tuple((1 + 2 * t, 3 - t, 2 + 5 * t) for t in range(k)))
+
+    def conic(k):
+        return PointConfiguration(3, tuple((t * t, t, 1) for t in range(k)))
+
+    assert [regularity_index(line(k)) for k in range(1, 7)] == [1, 1, 2, 3, 4, 5]
+    assert [regularity_index(conic(k)) for k in range(1, 8)] == [1, 1, 1, 2, 2, 3, 3]
+    assert regularity_index(EXAMPLE_SIX_POINTS) == 2
+    assert regularity_index(SEVEN_POINTS_PERTURBED) == 3
+
+
+def test_ordinary_square_rank_is_certified_in_strict_gap_cases(monkeypatch):
+    # the products of I_d are independent in the paper's strict-gap cases,
+    # so their modular rank meets the row count and no rational elimination
+    # runs: six points in P^3, and generic plane sets of 7 points at d = 3
+    # and of 11 and 12 points at d = 4
+    plane = [
+        (random_configuration(3, size, seed=0, d_independent=d), d)
+        for size, d in ((7, 3), (11, 4), (12, 4))
+    ]
+    for g, d in plane + [(EXAMPLE_SIX_POINTS, 2)]:
+        # fills the caches of the bases and of dim I^(2)
+        ordinary_square_dim(g, 2 * d)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("rational elimination ran")
+
+    monkeypatch.setattr(exact_linalg, "_echelon", no_elimination)
+    assert ordinary_square_dim(EXAMPLE_SIX_POINTS, 4) == 10
+    gaps = [symbolic_square_dim(g, 2 * d) - ordinary_square_dim(g, 2 * d) for g, d in plane]
+    assert gaps == [1, 2, 3]
+    assert gaps == [ternary_prediction(d, g.size)["predicted_gap"] for g, d in plane]
+
+
 def test_ordinary_square_rank_falls_back_where_bound_cannot_be_met():
-    # the products of I_2 span I^2_4 of dim 10 inside I^(2)_4 of dim 11;
-    # their rank is checked against 11, which no modular rank can meet,
-    # so exact elimination decides
+    # the ten products of I_2 span I^2_4 of dim 10 inside I^(2)_4 of dim
+    # 11; checked against 11, which no modular rank can meet, their rank
+    # is decided by exact elimination (ordinary_square_dim checks it
+    # against the row count, 10, instead)
     quadrics = basis_forms(vanishing_component(EXAMPLE_SIX_POINTS, 2), 4, 2)
     products = Matrix.from_rows(
         [multiply(f, h).coeffs for i, f in enumerate(quadrics) for h in quadrics[i:]]
@@ -157,6 +249,23 @@ def test_ordinary_square_rank_falls_back_where_bound_cannot_be_met():
     assert rank(products, bound=bound) == rank(products) == 10
     assert ordinary_square_component(EXAMPLE_SIX_POINTS, 4).dim == 10
     assert ordinary_square_dim(EXAMPLE_SIX_POINTS, 4) == 10
+
+
+def test_face_report_without_the_window():
+    # both sets fail condition 2, so the verdict is "no" with no Hilbert
+    # function ranked; their windows never stabilize
+    g = random_configuration(4, 8, seed=0)
+    r = face_report(g, 2)
+    assert (r.dim_Id, r.dim_I2_2d, r.dim_Isym2_2d, r.alpha) == (2, 3, 3, 2)
+    assert r.d_independent == "no"
+    g = PointConfiguration(5, (
+        (0, -1, 0, 0, 0), (-1, -1, -1, 0, 1), (0, 0, -1, 0, 0),
+        (-1, 0, 0, 0, -1), (-1, 1, -1, 1, 1), (-1, 1, 0, 0, -1),
+        (-1, -1, -1, 0, 0), (0, -1, -1, 1, 0), (-1, 1, -1, 0, 1),
+    ))
+    r = face_report(g, 2)
+    assert (r.dim_Id, r.dim_I2_2d, r.dim_Isym2_2d, r.alpha) == (6, 21, 27, 2)
+    assert r.d_independent == "no"
 
 
 def test_alpha_values():

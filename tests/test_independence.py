@@ -12,6 +12,7 @@ from conefaces.exact_linalg import Matrix, rank
 from conefaces.ideal_components import (
     PointConfiguration,
     basis_forms,
+    face_report,
     vanishing_component,
     vanishing_dim,
 )
@@ -141,6 +142,20 @@ def test_too_many_points_is_no():
     # 7 plane points cannot be 2-independent: dim H_{3,2} = 6 < 7 + 2
     g = random_configuration(3, 7, seed=3)
     assert is_d_independent(g, 2).verdict == "no"
+
+
+def test_face_report_verdict_is_the_report_verdict():
+    # the degenerate set of criterion 5 and a set too large for condition
+    # 2 fail it; 8 general plane points pass it, and two cubics through
+    # them meet in a ninth point
+    for g, d, cond2 in (
+        (DEPENDENT_SIX, 2, False),
+        (random_configuration(3, 7, seed=3), 2, False),
+        (random_configuration(3, 8, seed=0), 3, True),
+    ):
+        report = is_d_independent(g, d)
+        assert report.condition2 == cond2
+        assert face_report(g, d).d_independent == report.verdict == "no"
 
 
 def test_report_json():
