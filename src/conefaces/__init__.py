@@ -8,7 +8,6 @@ from .exact_linalg import (
     Subspace,
     contains,
     det,
-    meets_bound,
     nullspace,
     rank,
     rref,
@@ -32,7 +31,6 @@ from .ideal_components import (
     face_report,
     ordinary_square_component,
     ordinary_square_dim,
-    regularity_index,
     symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,

@@ -9,7 +9,7 @@ Because I(Gamma) is generated in degrees <= r + 1, r the regularity index,
 only the splits with b between ceil(e/2) and max(ceil(e/2), r + 1) are
 needed: at e = 2d with r < d, just I_d * I_d.  The rank of those products
 is certified against their row count or dim I^(2)_e, whichever is less,
-and a basis is the symbolic square's wherever the two dimensions agree.
+and a basis is their span.
 """
 
 from __future__ import annotations
@@ -137,13 +137,15 @@ def _square_matrix(g: PointConfiguration, e: int) -> Matrix:
     max(ceil(e/2), r + 1) and a >= alpha(Gamma) span every other.  The rows
     are the products of the integer bases of I_a and I_b over those
     splits; for a = b only the pairs i <= j.  For e = 2d and r < d they are
-    the products of I_d alone.
+    the products of I_d alone.  An r >= e - alpha drops no split, so r is
+    sought only below e - alpha.
     """
     if e < 2:
         raise ValueError("degree must be at least 2")
-    top = max((e + 1) // 2, regularity_index(g) + 1)
+    low = alpha(g)
+    top = max((e + 1) // 2, _regularity_index(g, e - low - 1) + 1)
     rows = []
-    for a in range(max(alpha(g), e - top), e // 2 + 1):
+    for a in range(max(low, e - top), e // 2 + 1):
         fa = vanishing_component(g, a).integer_basis_vectors()
         if a == e - a:
             for i, f in enumerate(fa):
@@ -167,15 +169,9 @@ def _ordinary_square(g: PointConfiguration, e: int):
 
 
 def ordinary_square_component(g: PointConfiguration, e: int) -> Subspace:
-    """Degree-e part of I(Gamma)^2.
-
-    It lies inside the symbolic square, so where their certified dimensions
-    agree it is the symbolic square; otherwise it is the span of
-    _square_matrix, whose elimination stops at the certified rank.
-    """
+    """Degree-e part of I(Gamma)^2: the span of _square_matrix, whose
+    elimination stops at the certified rank."""
     m, dim = _ordinary_square(g, e)
-    if 0 < dim == symbolic_square_dim(g, e):
-        return symbolic_square_component(g, e)
     return span(m.entries, m.cols, max_dim=dim)
 
 
@@ -184,11 +180,14 @@ def ordinary_square_dim(g: PointConfiguration, e: int) -> int:
     return _ordinary_square(g, e)[1]
 
 
-def regularity_index(g: PointConfiguration) -> int:
-    """The least t >= 1 with HF_Gamma(t) = |Gamma|: from t on, the degree-t
-    values at the points are independent."""
+def _regularity_index(g: PointConfiguration, limit: int) -> int:
+    """The regularity index r, the least t >= 1 with HF_Gamma(t) = |Gamma|
+    (from t on, the degree-t values at the points are independent), where
+    r <= limit; limit + 1 where r is larger.  r can reach |Gamma| - 1, for
+    collinear points, so the caller bounds the search by the degrees it
+    reads."""
     t = 1
-    while space_dim(g.n, t) - vanishing_dim(g, t) != g.size:
+    while t <= limit and space_dim(g.n, t) - vanishing_dim(g, t) != g.size:
         t += 1
     return t
 

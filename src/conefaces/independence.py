@@ -29,7 +29,7 @@ from itertools import combinations
 from .exact_linalg import Matrix, meets_bound, rank
 from .ideal_components import (
     PointConfiguration,
-    regularity_index,
+    _regularity_index,
     vanishing_component,
     vanishing_dim,
 )
@@ -111,7 +111,7 @@ def _settled_values(g: PointConfiguration, d: int, k_star: int) -> dict:
     on with no rational elimination; k* itself is ranked exactly.
     """
     settled = {k_star: g.size, k_star + 1: g.size}
-    first = max(d, regularity_index(g) + 1)
+    first = max(d, _regularity_index(g, d) + 1)
     for k in range(first, k_star):
         if meets_bound(_ideal_matrix(g, d, k), vanishing_dim(g, k)):
             return settled
@@ -175,6 +175,7 @@ def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
     return _report(g, d, _condition2(g, d))
 
 
+@lru_cache(maxsize=1024)
 def independence_verdict(g: PointConfiguration, d: int) -> str:
     """is_d_independent(g, d).verdict, which is "no" as soon as condition 2
     fails: then no Hilbert function value is ranked."""

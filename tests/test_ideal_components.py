@@ -13,12 +13,12 @@ from conefaces.gap_analysis import ternary_prediction
 from conefaces.ideal_components import (
     FaceReport,
     PointConfiguration,
+    _regularity_index,
     alpha,
     basis_forms,
     face_report,
     ordinary_square_component,
     ordinary_square_dim,
-    regularity_index,
     symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,
@@ -206,10 +206,12 @@ def test_regularity_index():
     def conic(k):
         return PointConfiguration(3, tuple((t * t, t, 1) for t in range(k)))
 
-    assert [regularity_index(line(k)) for k in range(1, 7)] == [1, 1, 2, 3, 4, 5]
-    assert [regularity_index(conic(k)) for k in range(1, 8)] == [1, 1, 1, 2, 2, 3, 3]
-    assert regularity_index(EXAMPLE_SIX_POINTS) == 2
-    assert regularity_index(SEVEN_POINTS_PERTURBED) == 3
+    assert [_regularity_index(line(k), 9) for k in range(1, 7)] == [1, 1, 2, 3, 4, 5]
+    assert [_regularity_index(conic(k), 9) for k in range(1, 8)] == [1, 1, 1, 2, 2, 3, 3]
+    assert _regularity_index(EXAMPLE_SIX_POINTS, 9) == 2
+    assert _regularity_index(SEVEN_POINTS_PERTURBED, 9) == 3
+    # past the limit the search stops at limit + 1
+    assert [_regularity_index(line(6), limit) for limit in (0, 2, 4, 5)] == [1, 3, 5, 5]
 
 
 def test_ordinary_square_rank_is_certified_in_strict_gap_cases(monkeypatch):
