@@ -7,10 +7,8 @@ from .exact_linalg import (
     Matrix,
     Subspace,
     contains,
-    det,
     nullspace,
     rank,
-    rref,
     span,
 )
 from .polynomials import (

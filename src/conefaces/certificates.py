@@ -29,6 +29,11 @@ from .polynomials import (
 )
 from .rational import Rat, ZERO, rat, rat_str
 
+# projected gradient steps from each sample toward a local minimum
+REFINE_STEPS = 200
+# a sampled minimum at or above -NONNEGATIVE_TOLERANCE reads as nonnegative
+NONNEGATIVE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -126,8 +131,7 @@ def sos_part(Qs) -> Form:
 
 
 def build_certificate(Qs, R: Form, epsilon, gamma: PointConfiguration,
-                      samples: int = 0, refine_steps: int = 200,
-                      seed: int = 0) -> Certificate:
+                      samples: int = 0, seed: int = 0) -> Certificate:
     """Assemble p = sum(Q_i^2) + eps*R and populate all exact verdicts.
 
     With samples > 0, also attaches a sampled numeric minimum on the unit
@@ -156,13 +160,12 @@ def build_certificate(Qs, R: Form, epsilon, gamma: PointConfiguration,
         roundness=tuple(roundness_at(base, s) for s in gamma.points),
     )
     if samples > 0:
-        value, point = numeric_min_on_sphere(p, samples, refine_steps, seed)
+        value, point = numeric_min_on_sphere(p, samples, seed)
         cert = replace(cert, numeric_min=value, numeric_argmin=tuple(point))
     return cert
 
 
-def numeric_min_on_sphere(p: Form, samples: int, refine_steps: int = 200,
-                          seed: int = 0):
+def numeric_min_on_sphere(p: Form, samples: int, seed: int = 0):
     """Seeded sampling plus projected gradient descent on the unit sphere.
 
     By homogeneity the sign of p on projective space matches its sign on
@@ -221,7 +224,7 @@ def numeric_min_on_sphere(p: Form, samples: int, refine_steps: int = 200,
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     f = values(x)
     step = np.full(samples, 0.1)
-    for _ in range(refine_steps):
+    for _ in range(REFINE_STEPS):
         g = gradients(x)
         # project onto the tangent space of the sphere
         g -= (g * x).sum(axis=1, keepdims=True) * x
@@ -240,7 +243,7 @@ EPSILON_GRID = [Rat(2) ** k if k >= 0 else Rat(1) / (2 ** -k) for k in range(5, 
 
 
 def epsilon_search(Qs, R: Form, gamma: PointConfiguration, seed: int = 0,
-                   samples: int = 2000, tolerance: float = 1e-9):
+                   samples: int = 2000):
     """Largest dyadic eps whose certificate samples as nonnegative.
 
     The result means "numerically nonnegative up to sampling" and nothing
@@ -255,6 +258,6 @@ def epsilon_search(Qs, R: Form, gamma: PointConfiguration, seed: int = 0,
     for eps in EPSILON_GRID:
         p = base + R.scale(eps)
         value, _ = numeric_min_on_sphere(p, samples, seed=seed)
-        if value >= -tolerance:
+        if value >= -NONNEGATIVE_TOLERANCE:
             return eps
     raise ValueError("no epsilon on the grid yields a numerically nonnegative form")

@@ -1,10 +1,11 @@
 """Exact rational dense linear algebra.
 
-Reduced row echelon form, rank, nullspace, span and membership over
-arbitrary-precision rationals.  This is the kernel every dimension
-computation in the library reduces to.  Pivoting picks the first nonzero
-entry per column; over exact arithmetic no magnitude pivoting is needed,
-and canonical RREF makes subspace equality a structural comparison.
+Rank, nullspace, span, membership and inverse over arbitrary-precision
+rationals.  This is the kernel every dimension computation in the library
+reduces to, and _echelon is its one rational elimination.  Pivoting picks
+the first nonzero entry per column; over exact arithmetic no magnitude
+pivoting is needed, and canonical RREF makes subspace equality a
+structural comparison.
 
 Bases and subspaces always come from rational elimination.  A rank whose
 caller knows a proven upper bound is first taken modulo a word-size prime;
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rational import Rat, ZERO, ONE, rat
+from .rational import ZERO, ONE, rat
 
 
 # Prime for certified ranks: below 2**31, so the product of two residues
@@ -54,21 +55,6 @@ class Matrix:
         if cols is not None and rows and cols != ncols:
             raise ValueError("explicit column count disagrees with row length")
         return cls(len(rows), ncols, tuple(rows))
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_rows(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
-
-    def transpose(self):
-        return Matrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def row_lists(self):
-        return [list(r) for r in self.entries]
 
 
 def _reduce_row(row, pivots):
@@ -112,14 +98,6 @@ def _back_substitute(pivots):
             if c:
                 pivots[j] = (cj, [a - c * b for a, b in zip(rowj, prow)])
     return [row for _, row in pivots]
-
-
-def rref(m: Matrix) -> Matrix:
-    """The unique reduced row echelon form of m (zero rows kept at the bottom)."""
-    pivots = _echelon(m.entries, m.cols)
-    reduced = _back_substitute(pivots)
-    reduced += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
-    return Matrix.from_rows(reduced, cols=m.cols)
 
 
 def _integer_row(row):
@@ -271,30 +249,6 @@ def contains(s: Subspace, v) -> bool:
     return not any(v)
 
 
-def det(m: Matrix) -> "Rat":
-    """Determinant by exact Gaussian elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    rows = m.row_lists()
-    result = ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            result = -result
-        result *= rows[col][col]
-        inv = ONE / rows[col][col]
-        prow = [a * inv for a in rows[col]]
-        for i in range(col + 1, n):
-            c = rows[i][col]
-            if c:
-                rows[i] = [a - c * b for a, b in zip(rows[i], prow)]
-    return result
-
-
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square matrix, via RREF of [m | I]."""
     if m.rows != m.cols:
@@ -310,9 +264,3 @@ def inverse(m: Matrix) -> Matrix:
     reduced = _back_substitute(pivots)
     return Matrix.from_rows([row[n:] for row in reduced], cols=n)
 
-
-def matvec(m: Matrix, v):
-    v = [rat(x) for x in v]
-    if len(v) != m.cols:
-        raise ValueError("vector length disagrees with matrix width")
-    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in m.entries]

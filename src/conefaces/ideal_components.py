@@ -24,12 +24,16 @@ from .rational import rat
 
 @dataclass(frozen=True)
 class PointConfiguration:
-    """A finite set of pairwise distinct projective points."""
+    """A finite set of pairwise distinct projective points in n >= 2
+    variables."""
 
     n: int
     points: tuple
 
     def __post_init__(self):
+        # bool is an int too, and its values are below 2 anyway
+        if not isinstance(self.n, int) or self.n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         points = tuple(
             p if isinstance(p, ProjectivePoint) else ProjectivePoint(tuple(p))
             for p in self.points
@@ -93,7 +97,6 @@ def _evaluation_matrix(g: PointConfiguration, d: int) -> Matrix:
     return Matrix(len(rows), space_dim(g.n, d), tuple(rows))
 
 
-@lru_cache(maxsize=512)
 def symbolic_square_component(g: PointConfiguration, e: int) -> Subspace:
     """Degree-e part of the second symbolic power: all gradients vanish on Gamma.
 
@@ -193,15 +196,15 @@ def _regularity_index(g: PointConfiguration, limit: int) -> int:
 
 
 def alpha(g: PointConfiguration) -> int:
-    """Smallest degree with a nonzero form vanishing on Gamma."""
-    d_excess = 1
-    while space_dim(g.n, d_excess) <= g.size:
-        d_excess += 1
-    # at d_excess the kernel is guaranteed nontrivial; the cap only guards the loop
-    for d in range(1, 2 * d_excess + 1):
-        if vanishing_dim(g, d) > 0:
-            return d
-    raise RuntimeError("no vanishing form found below the search cap")
+    """Smallest degree with a nonzero form vanishing on Gamma.
+
+    The scan ends: with n >= 2, dim H_{n,d} grows without bound, and once
+    it exceeds |Gamma| the evaluation matrix has a kernel.
+    """
+    d = 1
+    while vanishing_dim(g, d) == 0:
+        d += 1
+    return d
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,13 @@ class IndependenceReport:
         }
 
 
+@lru_cache(maxsize=1024)
 def condition2_holds(g: PointConfiguration, d: int) -> bool:
     """Linear independence of single vanishing plus one double vanishing.
 
     True iff for every point s the evaluation rows at the other points
     together with the n gradient rows at s have full rank |Gamma| + n - 1.
+    Cached, so that the verdict and the report compute it once.
     """
     target = g.size + g.n - 1
     if space_dim(g.n, d) < target:
@@ -129,8 +131,19 @@ def _condition2(g: PointConfiguration, d: int) -> bool:
         return False
 
 
-def _report(g: PointConfiguration, d: int, cond2: bool) -> IndependenceReport:
-    """The report of is_d_independent, given the value of condition 2."""
+@lru_cache(maxsize=1024)
+def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
+    """Tri-state d-independence: condition 2 plus the Hilbert-function
+    window k* .. k* + 1 (extended up to k* + n while it has not stabilized),
+    k* = (n-1)(d-1) + d.
+
+    When condition 2 holds, the Hilbert function is first scanned upward
+    from max(d, r + 1), r the regularity index: once it reaches |Gamma| at
+    some k <= k*, it stays |Gamma| (see the module docstring), and no
+    window degree is ranked.  The window is ranked whatever condition 2
+    says, since the report prints it.
+    """
+    cond2 = _condition2(g, d)
     k_star = (g.n - 1) * (d - 1) + d
     known = _settled_values(g, d, k_star) if cond2 else {}
     values = [
@@ -160,26 +173,11 @@ def _report(g: PointConfiguration, d: int, cond2: bool) -> IndependenceReport:
     )
 
 
-@lru_cache(maxsize=1024)
-def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
-    """Tri-state d-independence: condition 2 plus the Hilbert-function
-    window k* .. k* + 1 (extended up to k* + n while it has not stabilized),
-    k* = (n-1)(d-1) + d.
-
-    When condition 2 holds, the Hilbert function is first scanned upward
-    from max(d, r + 1), r the regularity index: once it reaches |Gamma| at
-    some k <= k*, it stays |Gamma| (see the module docstring), and no
-    window degree is ranked.  The window is ranked whatever condition 2
-    says, since the report prints it.
-    """
-    return _report(g, d, _condition2(g, d))
-
-
-@lru_cache(maxsize=1024)
 def independence_verdict(g: PointConfiguration, d: int) -> str:
     """is_d_independent(g, d).verdict, which is "no" as soon as condition 2
-    fails: then no Hilbert function value is ranked."""
-    return _report(g, d, True).verdict if _condition2(g, d) else "no"
+    fails: then no Hilbert function value is ranked.  Otherwise the report
+    is computed, and cached for a later is_d_independent call."""
+    return is_d_independent(g, d).verdict if _condition2(g, d) else "no"
 
 
 def is_general_linear_position(g: PointConfiguration) -> bool:

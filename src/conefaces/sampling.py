@@ -9,16 +9,20 @@ from .ideal_components import PointConfiguration
 from .independence import independence_verdict, is_general_linear_position
 from .polynomials import ProjectivePoint
 
+# coordinates are drawn uniformly from [-COORD_BOUND, COORD_BOUND]
+COORD_BOUND = 50
+# budget of rejected configurations, and of rejected point draws within one
+MAX_REJECTS = 1000
+
 
 def random_configuration(n: int, size: int, seed: int = 0, glp: bool = False,
-                         d_independent: int | None = None, bound: int = 50,
-                         max_rejects: int = 1000) -> PointConfiguration:
+                         d_independent: int | None = None) -> PointConfiguration:
     """Integer-coordinate points, rejection-resampled until all exact
     predicates hold; deterministic given the seed.
 
     Generic configurations of size up to binomial(n+d-1, d) - n are
     d-independent, so rejection terminates almost immediately in practice.
-    max_rejects bounds the rejected configurations, and within each the
+    MAX_REJECTS bounds the rejected configurations, and within each the
     zero or repeated point draws; past either budget, ValueError.
     """
     if d_independent is not None:
@@ -29,12 +33,12 @@ def random_configuration(n: int, size: int, seed: int = 0, glp: bool = False,
                 f"{n} variables (maximum {limit})"
             )
     rng = random.Random(seed)
-    for _ in range(max_rejects):
+    for _ in range(MAX_REJECTS):
         points = []
         seen = set()
         rejects = 0
         while len(points) < size:
-            coords = tuple(rng.randint(-bound, bound) for _ in range(n))
+            coords = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(n))
             if any(coords):
                 p = ProjectivePoint(coords)
                 key = p.canonical()
@@ -43,10 +47,10 @@ def random_configuration(n: int, size: int, seed: int = 0, glp: bool = False,
                     points.append(p)
                     continue
             rejects += 1
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise ValueError(
                     f"could not draw {size} distinct projective points in {n} "
-                    f"variables with coordinates in [-{bound}, {bound}]"
+                    f"variables with coordinates in [-{COORD_BOUND}, {COORD_BOUND}]"
                 )
         g = PointConfiguration(n, tuple(points))
         if glp and not is_general_linear_position(g):

@@ -136,16 +136,21 @@ def test_usage_error_exit_code(tmp_path, capsys):
     int_points.write_text(json.dumps({"n": 3, "points": 5}))
     null_coord = tmp_path / "null_coord.json"
     null_coord.write_text(json.dumps({"n": 3, "points": [[1, None, 0]]}))
+    float_n = tmp_path / "float_n.json"
+    float_n.write_text(json.dumps({"n": 3.0, "points": [[1, 0, 0], [0, 1, 0]]}))
     for argv in (
         ["dims", "--n", "3", "--d", "2"],  # neither --config nor --random-size
         ["dims", "--n", "5", "--d", "2", "--config", str(plane)],
         ["dims", "--n", "3", "--d", "2", "--config", str(no_n)],
         ["dims", "--n", "3", "--d", "2", "--config", str(int_points)],
         ["dims", "--n", "3", "--d", "2", "--config", str(null_coord)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(float_n)],
         ["independence", "--n", "5", "--d", "2", "--config", str(plane)],
         # too few projective points to draw: these used to loop forever
         ["random", "--n", "1", "--size", "2"],
         ["dims", "--n", "0", "--d", "2", "--random-size", "1"],
+        # one variable: alpha used to loop forever, as dim H_{1,t} = 1
+        ["dims", "--n", "1", "--d", "1", "--random-size", "1"],
     ):
         assert main(argv) == 10, argv
         captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: RREF, rank, nullspace, span, membership."""
+"""Exact linear algebra kernel: rank, nullspace, span, membership, inverse."""
 
 import math
 from fractions import Fraction
@@ -12,13 +12,10 @@ from conefaces.exact_linalg import (
     Matrix,
     Subspace,
     contains,
-    det,
     inverse,
-    matvec,
     meets_bound,
     nullspace,
     rank,
-    rref,
     span,
 )
 from conefaces.rational import ONE, ZERO, rat
@@ -122,21 +119,6 @@ def test_from_rows_validates():
     assert (empty.rows, empty.cols) == (0, 3)
 
 
-def test_rref_known():
-    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    r = rref(m)
-    assert r.entries[0] == (ONE, ZERO, rat(1))
-    assert r.entries[1] == (ZERO, ONE, rat(1))
-    assert r.entries[2] == (ZERO, ZERO, ZERO)
-    assert rank(m) == 2
-
-
-@given(matrices())
-@settings(max_examples=150, deadline=None)
-def test_rref_idempotent(m):
-    assert rref(rref(m)) == rref(m)
-
-
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_nullity(m):
@@ -147,7 +129,7 @@ def test_rank_nullity(m):
 @settings(max_examples=100, deadline=None)
 def test_nullspace_vectors_annihilate(m):
     for v in nullspace(m).basis_vectors():
-        assert not any(matvec(m, v))
+        assert not any(sum(a * b for a, b in zip(row, v)) for row in m.entries)
 
 
 @given(kernel_matrices)
@@ -179,7 +161,7 @@ def test_nullspace_matches_sympy(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_invariant_under_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(Matrix.from_rows(list(zip(*m.entries)), cols=m.rows))
 
 
 @given(matrices(max_rows=5, max_cols=5))
@@ -250,18 +232,10 @@ def test_subspace_equality_is_basis_equality():
 
 def test_det_and_inverse():
     m = Matrix.from_rows([[2, 1], [1, 1]])
-    assert det(m) == ONE
     inv = inverse(m)
     assert inv.entries == ((ONE, rat(-1)), (rat(-1), rat(2)))
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2], [2, 4]]))
-    assert det(Matrix.from_rows([[1, 2], [2, 4]])) == ZERO
-
-
-@given(matrices(max_rows=4, max_cols=4).filter(lambda m: m.rows == m.cols))
-@settings(max_examples=100, deadline=None)
-def test_det_zero_iff_singular(m):
-    assert (det(m) == 0) == (rank(m) < m.rows)
 
 
 @given(
@@ -270,13 +244,15 @@ def test_det_zero_iff_singular(m):
 @settings(max_examples=100, deadline=None)
 def test_inverse_roundtrip(rows):
     m = Matrix.from_rows(rows)
-    if det(m) == 0:
+    if rank(m) < 3:
         return
     assert [tuple(r) for r in inverse(inverse(m)).entries] == list(m.entries)
-    prod = Matrix.from_rows(
-        [matvec(m, col) for col in inverse(m).transpose().entries]
-    ).transpose()
-    assert prod == Matrix.identity(3)
+    inv = inverse(m)
+    prod = [
+        [sum(m.entries[i][k] * inv.entries[k][j] for k in range(3)) for j in range(3)]
+        for i in range(3)
+    ]
+    assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def test_subspace_rejects_bad_width():

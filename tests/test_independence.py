@@ -158,6 +158,24 @@ def test_face_report_verdict_is_the_report_verdict():
         assert face_report(g, d).d_independent == report.verdict == "no"
 
 
+def test_verdict_fills_the_report_cache():
+    # condition 2 holds, so face_report's verdict computes the whole report;
+    # is_d_independent then reads it from the cache, and condition 2 is
+    # computed once
+    g = random_configuration(3, 8, seed=0)
+    is_d_independent.cache_clear()
+    fresh = is_d_independent(g, 3).to_json()
+    is_d_independent.cache_clear()
+    condition2_holds.cache_clear()
+    verdict = face_report(g, 3).d_independent
+    hits = is_d_independent.cache_info().hits
+    report = is_d_independent(g, 3)
+    assert is_d_independent.cache_info().hits == hits + 1
+    assert condition2_holds.cache_info().misses == 1
+    assert report.to_json() == fresh
+    assert report.verdict == verdict
+
+
 def test_report_json():
     data = is_d_independent(SEVEN_POINTS_PERTURBED, 3).to_json()
     assert data["verdict"] == "yes"
