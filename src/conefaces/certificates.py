@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .exact_linalg import Matrix, contains, nullspace
-from .ideal_components import (
-    PointConfiguration,
-    ordinary_square_component,
-    symbolic_square_component,
-)
+from .ideal_components import PointConfiguration, ordinary_square_component
 from .polynomials import (
     Form,
     ProjectivePoint,
@@ -147,16 +143,17 @@ def build_certificate(Qs, R: Form, epsilon, gamma: PointConfiguration,
     base = sos_part(Qs)
     p = base + R.scale(epsilon)
 
-    e = 2 * d
-    sym = symbolic_square_component(gamma, e)
-    ordi = ordinary_square_component(gamma, e)
+    # the symbolic square is cut out by the gradient rows at the points,
+    # the conditions check_double_vanishing tests, so p lies in it exactly
+    # when it double-vanishes
+    double = check_double_vanishing(p, gamma)
     cert = Certificate(
         p=p,
         gamma=gamma,
         epsilon=epsilon,
-        vanishes_order2=check_double_vanishing(p, gamma),
-        in_symbolic=contains(sym, p.coeffs),
-        in_ordinary_square=contains(ordi, p.coeffs),
+        vanishes_order2=double,
+        in_symbolic=double,
+        in_ordinary_square=contains(ordinary_square_component(gamma, 2 * d), p.coeffs),
         roundness=tuple(roundness_at(base, s) for s in gamma.points),
     )
     if samples > 0:

@@ -250,7 +250,7 @@ def face_report(g: PointConfiguration, d: int) -> FaceReport:
         n=g.n,
         d=d,
         gamma_size=g.size,
-        dim_Id=vanishing_component(g, d).dim,
+        dim_Id=vanishing_dim(g, d),
         dim_I2_2d=ordinary_square_dim(g, e),
         dim_Isym2_2d=symbolic_square_dim(g, e),
         alpha=alpha(g),

@@ -13,11 +13,23 @@ Gamma, the least t with HF_Gamma(t) = |Gamma|; I(Gamma) is generated in
 degrees <= r + 1 (Eisenbud, The Geometry of Syzygies, GTM 229, ch. 4).
 So once the ideal generated by I_d fills I_k(Gamma) at some k >= r + 1,
 it fills every larger degree too, and the Hilbert function is |Gamma|
-from k on: one rank decides the whole window.
+from k on: one rank decides the whole window.  The argument does not use
+condition 2, so the window is settled this one way for every set.
 
-When condition 2 fails the verdict is "no" whatever the Hilbert function
-says; independence_verdict then returns it without ranking any value, and
-only is_d_independent, whose report prints the window, ranks it.
+Condition 2 asks that, for every point s, the values at the other points
+and the gradient at s be |Gamma| + n - 1 independent conditions on
+degree-d forms.  By Euler's identity, sum_i s_i d_i f(s) = d f(s), so the
+value row at s lies in the span of the gradient rows at s, and those rows
+span what the value rows at all of Gamma and the gradient rows restricted
+to their kernel I_d span.  The rank is then the rank of the values at
+Gamma, at most |Gamma|, plus the rank of the n x dim I_d matrix
+[d_i f_j(s)] over a basis f_j of I_d, at most n - 1 since its rows satisfy
+sum_i s_i row_i = d f_j(s) = 0.  So condition 2 holds exactly when
+dim I_d = dim H_{n,d} - |Gamma| and every such matrix has rank n - 1, and
+never when |Gamma| + n - 1 > dim H_{n,d}.  When it fails the verdict is
+"no" whatever the Hilbert function says; independence_verdict then
+returns it without ranking any value, and only is_d_independent, whose
+report prints the window, ranks it.
 """
 
 from __future__ import annotations
@@ -54,24 +66,22 @@ class IndependenceReport:
 
 @lru_cache(maxsize=1024)
 def condition2_holds(g: PointConfiguration, d: int) -> bool:
-    """Linear independence of single vanishing plus one double vanishing.
-
-    True iff for every point s the evaluation rows at the other points
-    together with the n gradient rows at s have full rank |Gamma| + n - 1.
+    """Linear independence of single vanishing plus one double vanishing,
+    decided from the integer basis of I_d as the module docstring shows:
+    dim I_d = dim H_{n,d} - |Gamma|, and at every point s the n x dim I_d
+    matrix of the basis partials at s has rank n - 1, a proven bound.
     Cached, so that the verdict and the report compute it once.
     """
-    target = g.size + g.n - 1
-    if space_dim(g.n, d) < target:
-        raise ValueError(
-            f"H_{{{g.n},{d}}} has dimension {space_dim(g.n, d)} < {target}; "
-            "the required codimension is unreachable"
+    free = space_dim(g.n, d) - g.size
+    if free < g.n - 1 or vanishing_dim(g, d) != free:
+        return False
+    basis = vanishing_component(g, d).integer_basis_vectors()
+    for s in g.points:
+        rows = tuple(
+            tuple(sum(a * b for a, b in zip(grad, f) if a) for f in basis)
+            for grad in derivative_rows(s.integer_coords, d, 1)
         )
-    values = [derivative_rows(p.integer_coords, d, 0)[0] for p in g.points]
-    for i, s in enumerate(g.points):
-        rows = values[:i] + values[i + 1:] + derivative_rows(s.integer_coords, d, 1)
-        # target is the row count, so it bounds the rank
-        m = Matrix(target, space_dim(g.n, d), tuple(rows))
-        if rank(m, bound=target) != target:
+        if rank(Matrix(g.n, free, rows), bound=g.n - 1) != g.n - 1:
             return False
     return True
 
@@ -101,61 +111,35 @@ def hilbert_function(g: PointConfiguration, d: int, k: int) -> int:
     return m.cols - rank(m, bound=vanishing_dim(g, k))
 
 
-def _settled_values(g: PointConfiguration, d: int, k_star: int) -> dict:
-    """Hilbert function values {k: HF(k)} at k* and, where it follows, k* + 1,
-    for a set that satisfies condition 2.
-
-    Condition 2 makes the degree-d value rows independent, so the
-    regularity index r <= d.  The scan runs from max(d, r + 1) up to k*; the
-    first degree whose value is |Gamma| fixes the values at k* and k* + 1 to
-    |Gamma|.  Degrees below k* are never reported, so there the value is
-    |Gamma| only where meets_bound certifies it, and any other outcome moves
-    on with no rational elimination; k* itself is ranked exactly.
-    """
-    settled = {k_star: g.size, k_star + 1: g.size}
-    first = max(d, _regularity_index(g, d) + 1)
-    for k in range(first, k_star):
-        if meets_bound(_ideal_matrix(g, d, k), vanishing_dim(g, k)):
-            return settled
-    if first > k_star:
-        return {}
-    value = hilbert_function(g, d, k_star)
-    return settled if value == g.size else {k_star: value}
-
-
-def _condition2(g: PointConfiguration, d: int) -> bool:
-    try:
-        return condition2_holds(g, d)
-    except ValueError:
-        # ambient space too small to reach the codimension: condition 2 fails
-        return False
-
-
 @lru_cache(maxsize=1024)
 def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
     """Tri-state d-independence: condition 2 plus the Hilbert-function
     window k* .. k* + 1 (extended up to k* + n while it has not stabilized),
     k* = (n-1)(d-1) + d.
 
-    When condition 2 holds, the Hilbert function is first scanned upward
-    from max(d, r + 1), r the regularity index: once it reaches |Gamma| at
-    some k <= k*, it stays |Gamma| (see the module docstring), and no
-    window degree is ranked.  The window is ranked whatever condition 2
-    says, since the report prints it.
+    The window is settled the same way for every set, whatever condition 2
+    says.  With r the regularity index, the unreported degrees
+    max(d, r + 1) .. k* - 1 are checked by a certified modular rank alone:
+    one value of |Gamma| there fixes the whole window at |Gamma| (see the
+    module docstring).  Otherwise each window degree is ranked exactly,
+    until a value of |Gamma| above r fixes the rest, and the walk stops
+    at the first two consecutive values that agree.
     """
-    cond2 = _condition2(g, d)
     k_star = (g.n - 1) * (d - 1) + d
-    known = _settled_values(g, d, k_star) if cond2 else {}
-    values = [
-        (k, known[k] if k in known else hilbert_function(g, d, k))
-        for k in (k_star, k_star + 1)
-    ]
-    used = k_star + 1
-    # extend past an unstabilized window, up to k* + n, before giving up
-    while values[-1][1] != values[-2][1] and used < k_star + g.n:
-        used += 1
-        values.append((used, hilbert_function(g, d, used)))
+    r = _regularity_index(g, k_star + g.n)
+    settled = any(
+        meets_bound(_ideal_matrix(g, d, k), vanishing_dim(g, k))
+        for k in range(max(d, r + 1), k_star)
+    )
+    values = []
+    for k in range(k_star, k_star + g.n + 1):
+        value = g.size if settled else hilbert_function(g, d, k)
+        settled = value == g.size and k > r
+        values.append((k, value))
+        if len(values) > 1 and values[-2][1] == value:
+            break
 
+    cond2 = condition2_holds(g, d)
     stabilized = values[-1][1] == values[-2][1]
     if not cond2:
         verdict = "no"
@@ -169,7 +153,7 @@ def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
         condition2=cond2,
         hilbert_values=tuple(values),
         verdict=verdict,
-        stabilization_degree_used=used,
+        stabilization_degree_used=values[-1][0],
     )
 
 
@@ -177,19 +161,14 @@ def independence_verdict(g: PointConfiguration, d: int) -> str:
     """is_d_independent(g, d).verdict, which is "no" as soon as condition 2
     fails: then no Hilbert function value is ranked.  Otherwise the report
     is computed, and cached for a later is_d_independent call."""
-    return is_d_independent(g, d).verdict if _condition2(g, d) else "no"
+    return is_d_independent(g, d).verdict if condition2_holds(g, d) else "no"
 
 
 def is_general_linear_position(g: PointConfiguration) -> bool:
-    """No n points on a common hyperplane, projectively.
-
-    For |Gamma| <= n this reads as linear independence of the coordinate
-    vectors; for larger sets every n-subset must have rank n.
-    """
-    rows = [p.coords for p in g.points]
-    if g.size <= g.n:
-        return rank(Matrix.from_rows(rows, cols=g.n)) == g.size
-    for subset in combinations(rows, g.n):
-        if rank(Matrix.from_rows(subset, cols=g.n)) != g.n:
-            return False
-    return True
+    """No n points on a common hyperplane, projectively: every
+    min(|Gamma|, n) of the coordinate vectors are linearly independent."""
+    k = min(g.size, g.n)
+    return all(
+        rank(Matrix.from_rows(subset, cols=g.n)) == k
+        for subset in combinations([p.coords for p in g.points], k)
+    )

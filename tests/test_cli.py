@@ -213,6 +213,10 @@ GOLDEN_STDOUT = {
         "a58b4998fbf7e68f3b1c501ff8e786e61163246d76b73011d37a9756c5c9ef02",
     "independence --n 3 --d 2 --random-size 7 --seed 2":
         "98f76c281de283b126a638aaed0f45a6fb162bdb129a8efbdfdeae1104862d53",
+    "independence --n 3 --d 3 --random-size 7 --seed 2":
+        "e07ea12dc654f53ae5bfce7f2c8c2a21b2f7d21521b788235a78e3a8e9ae2b84",
+    "independence --n 3 --d 3 --random-size 8 --seed 0":
+        "b8da3fb4763f25978e1f504012ceb6218fb473c34501a60e8cb88657de0a700b",
     "construct six4":
         "533af068f96fdcdffcdcf898ca8097ff39b7035d66db605f2e0d7092badc2904",
     "construct seven3":

@@ -1,6 +1,8 @@
 """d-independence verdicts, Hilbert functions, general linear position."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conefaces.constructions import (
     EXAMPLE_SIX_POINTS,
@@ -22,7 +24,14 @@ from conefaces.independence import (
     is_d_independent,
     is_general_linear_position,
 )
-from conefaces.polynomials import Form, monomial_basis, multiply, space_dim
+from conefaces.polynomials import (
+    Form,
+    ProjectivePoint,
+    derivative_rows,
+    monomial_basis,
+    multiply,
+    space_dim,
+)
 from conefaces.sampling import random_configuration
 
 # four of the six points lie on x4 = 0, three of them collinear: any
@@ -41,11 +50,81 @@ DEPENDENT_SIX = PointConfiguration(
 )
 
 
-def test_condition2_small_space_raises():
+# five points on the line x3 = 0: every quadric through them contains it
+COLLINEAR_FIVE = PointConfiguration(3, tuple((1, t, 0) for t in range(5)))
+
+
+def condition2_full_rank(g, d):
+    """Condition 2 as stated: for every point s, the value rows at the other
+    points and the n gradient rows at s have full rank |Gamma| + n - 1,
+    by rational elimination at the points' own coordinates."""
+    target = g.size + g.n - 1
+    if space_dim(g.n, d) < target:
+        return False
+    values = [derivative_rows(p.coords, d, 0)[0] for p in g.points]
+    for i, s in enumerate(g.points):
+        rows = values[:i] + values[i + 1:] + derivative_rows(s.coords, d, 1)
+        if rank(Matrix.from_rows(rows)) != target:
+            return False
+    return True
+
+
+@st.composite
+def point_sets(draw):
+    """(Gamma, d): random integer or rational points, points on a line or a
+    plane conic, or more points than condition 2 can hold for."""
+    kind = draw(st.sampled_from(
+        ["integer", "rational", "collinear", "conic", "too_large"]
+    ))
+    # a line or a conic is special only in n >= 3 variables, and d + 1
+    # points on a line fit the codimension count only from d = 2 on
+    special = kind in ("collinear", "conic")
+    n = draw(st.integers(3 if special else 2, 4))
+    d = draw(st.integers(2 if kind == "collinear" else 1, 3))
+    if kind == "rational":
+        coord = st.fractions(-3, 3, max_denominator=4)
+    else:
+        coord = st.integers(-3, 3)
+    vector = st.lists(coord, min_size=n, max_size=n)
+    # |Gamma| + n - 1 <= dim H_{n,d} holds for every kind but the last
+    fits = space_dim(n, d) - n + 1
+    if kind == "collinear":
+        # from d + 1 points on, every degree-d form through them contains
+        # the line
+        tail = st.lists(coord, min_size=n - 2, max_size=n - 2)
+        a, b = draw(tail), draw(tail)
+        coords = [
+            [1, t] + [x + t * y for x, y in zip(a, b)]
+            for t in range(draw(st.integers(d + 1, d + 2)))
+        ]
+    elif kind == "too_large":
+        size = fits + 1 + draw(st.integers(0, 2))
+        coords = draw(st.lists(vector, min_size=size, max_size=size))
+    else:
+        size = draw(st.integers(1, max(1, min(8, fits))))
+        if kind == "conic":
+            coords = [[1, t, t * t] + [0] * (n - 3) for t in range(size)]
+        else:
+            coords = draw(st.lists(vector, min_size=size, max_size=size))
+    points = {}
+    for c in coords:
+        if any(c):
+            points.setdefault(ProjectivePoint(tuple(c)).canonical(), c)
+    assume(points)
+    return PointConfiguration(n, tuple(points.values())), d
+
+
+@given(point_sets())
+@settings(max_examples=100, deadline=None)
+def test_condition2_matches_full_rank_formulation(case):
+    g, d = case
+    assert condition2_holds(g, d) == condition2_full_rank(g, d)
+
+
+def test_condition2_small_space_is_false():
     # |Gamma| + n - 1 = 8 > dim H_{3,2} = 6
     g = random_configuration(3, 6, seed=0)
-    with pytest.raises(ValueError):
-        condition2_holds(g, 2)
+    assert not condition2_holds(g, 2)
 
 
 def test_condition2_known_cases():
@@ -99,23 +178,32 @@ def test_hilbert_function_falls_back_where_bound_cannot_be_met():
 
 
 @pytest.mark.parametrize(
-    "n, size, d, verdict, settled",
+    "g, d, condition2, verdict, settled",
     [
-        (4, 6, 2, "yes", 6),
-        (3, 6, 3, "yes", 6),
-        (3, 10, 4, "yes", 10),
+        pytest.param(random_configuration(4, 6, seed=0), 2, True, "yes", 6,
+                     id="4-6-2-yes-6"),
+        pytest.param(random_configuration(3, 6, seed=0), 3, True, "yes", 6,
+                     id="3-6-3-yes-6"),
+        pytest.param(random_configuration(3, 10, seed=0), 4, True, "yes", 10,
+                     id="3-10-4-yes-10"),
         # condition 2 holds, but two cubics through 8 general plane points
         # meet in a ninth, and three quadrics through 7 general points in
         # P^3 in an eighth: the scan below k* never reaches |Gamma|
-        (3, 8, 3, "no", 9),
-        (4, 7, 2, "no", 8),
+        pytest.param(random_configuration(3, 8, seed=0), 3, True, "no", 9,
+                     id="3-8-3-no-9"),
+        pytest.param(random_configuration(4, 7, seed=0), 2, True, "no", 8,
+                     id="4-7-2-no-8"),
+        # condition 2 fails, and the window is settled as for any set; on
+        # the line, HF(4) = |Gamma| at the regularity index 4 fixes nothing
+        pytest.param(DEPENDENT_SIX, 2, False, "no", 13, id="dependent-six-2-no"),
+        pytest.param(COLLINEAR_FIVE, 2, False, "no", 8, id="collinear-five-2-no"),
     ],
 )
-def test_hilbert_values_match_direct_ranks(n, size, d, verdict, settled):
-    # values read off below the window equal the ranks at the window degrees
-    g = random_configuration(n, size, seed=0)
+def test_hilbert_values_match_direct_ranks(g, d, condition2, verdict, settled):
+    # values read off below or inside the window equal the ranks at the
+    # window degrees
     report = is_d_independent(g, d)
-    assert report.condition2
+    assert report.condition2 == condition2
     assert report.verdict == verdict
     assert report.hilbert_values[-1][1] == settled
     for k, value in report.hilbert_values:
