@@ -1,19 +1,20 @@
 """Exact rational dense linear algebra.
 
-Rank, nullspace, span, membership and inverse over arbitrary-precision
-rationals.  This is the kernel every dimension computation in the library
-reduces to, and _echelon is its one rational elimination.  Pivoting picks
-the first nonzero entry per column; over exact arithmetic no magnitude
-pivoting is needed, and canonical RREF makes subspace equality a
-structural comparison.
+Rank, nullspace, span, membership and inverse over Q: the kernel every
+dimension computation in the library reduces to.  _echelon is its one
+elimination, and it runs on integers.  Each row is scaled to a primitive
+integer vector; a row is cleared at a pivot column by (p/g)·row - (x/g)·pivot
+row, with g = gcd(p, x), and divided by its content.  Only the final divide
+of each reduced row by its pivot entry makes rationals, and the canonical
+RREF it gives makes subspace equality a structural comparison.  Pivoting
+picks the first nonzero entry per column; exact arithmetic needs no
+magnitude pivoting.
 
-Bases and subspaces always come from rational elimination.  A rank whose
-caller knows a proven upper bound is first taken modulo a word-size prime;
-the modular rank never exceeds the rank over Q, so when it meets the bound
-it is the exact rank, and otherwise rational elimination decides.  Either
-way the rank returned is exact over Q.  A caller that needs only to know
-whether the rank meets its bound asks meets_bound, the modular check
-alone, which never eliminates over Q.
+A rank whose caller knows a proven upper bound is first taken modulo a
+word-size prime; the modular rank never exceeds the rank over Q, so when
+it meets the bound it is the exact rank, and otherwise exact elimination
+decides.  A caller that needs only to know whether the rank meets its
+bound asks meets_bound, the modular check alone, which never eliminates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rational import ZERO, ONE, rat
+from .rational import ZERO, ONE, Rat, rat
 
 
 # Prime for certified ranks: below 2**31, so the product of two residues
@@ -57,47 +58,10 @@ class Matrix:
         return cls(len(rows), ncols, tuple(rows))
 
 
-def _reduce_row(row, pivots):
-    """Eliminate a row against normalized pivot rows (pivot entry 1)."""
-    for col, prow in pivots:
-        c = row[col]
-        if c:
-            row = [a - c * b for a, b in zip(row, prow)]
-    return row
-
-
-def _echelon(rows, ncols, max_rank=None):
-    """Incremental elimination; returns [(pivot_col, normalized_row), ...].
-
-    Rows already reduced against all previous pivots.  Stops early once
-    max_rank pivots are found (sound whenever the caller knows an upper
-    bound on the rank that the remaining rows cannot exceed).
-    """
-    pivots = []
-    for row in rows:
-        if max_rank is not None and len(pivots) >= max_rank:
-            break
-        row = _reduce_row(list(row), pivots)
-        for col, x in enumerate(row):
-            if x:
-                inv = ONE / x
-                row = [a * inv for a in row]
-                pivots.append((col, row))
-                pivots.sort(key=lambda p: p[0])
-                break
-    return pivots
-
-
-def _back_substitute(pivots):
-    """Turn echelon pivot rows into canonical RREF rows."""
-    for i in range(len(pivots) - 1, -1, -1):
-        col, prow = pivots[i]
-        for j in range(i):
-            cj, rowj = pivots[j]
-            c = rowj[col]
-            if c:
-                pivots[j] = (cj, [a - c * b for a, b in zip(rowj, prow)])
-    return [row for _, row in pivots]
+def _primitive(row):
+    """An integer row divided by its content."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _integer_row(row):
@@ -106,8 +70,52 @@ def _integer_row(row):
         # int() also turns gmpy2 numerators and denominators into Python ints
         den = math.lcm(*(int(x.denominator) for x in row))
         row = [int(x.numerator) * (den // int(x.denominator)) for x in row]
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return _primitive(row)
+
+
+def _clear(row, prow, col):
+    """row cleared at col, the pivot column of prow, keeping the row space
+    the two span: (p/g)·row - (x/g)·prow over its content, where p and x
+    are their entries at col and g = gcd(p, x)."""
+    p, x = prow[col], row[col]
+    g = math.gcd(p, x)
+    p, x = p // g, x // g
+    return _primitive([p * a - x * b for a, b in zip(row, prow)])
+
+
+def _echelon(rows, max_rank=None):
+    """Incremental integer elimination; returns [(pivot_col, row), ...].
+
+    Primitive integer rows, each reduced against all previous pivots.
+    Stops early once max_rank pivots are found (sound whenever the caller
+    knows an upper bound on the rank that the remaining rows cannot exceed).
+    """
+    pivots = []
+    for row in rows:
+        if max_rank is not None and len(pivots) >= max_rank:
+            break
+        row = _integer_row(row)
+        for col, prow in pivots:
+            if row[col]:
+                row = _clear(row, prow, col)
+        for col, x in enumerate(row):
+            if x:
+                pivots.append((col, row))
+                pivots.sort(key=lambda p: p[0])
+                break
+    return pivots
+
+
+def _back_substitute(pivots):
+    """Turn echelon pivot rows into canonical RREF rows: clear above each
+    pivot by the same integer step, then divide each row by its pivot."""
+    for i in range(len(pivots) - 1, -1, -1):
+        col, prow = pivots[i]
+        for j in range(i):
+            cj, rowj = pivots[j]
+            if rowj[col]:
+                pivots[j] = (cj, _clear(rowj, prow, col))
+    return [[Rat(x, row[col]) if x else ZERO for x in row] for col, row in pivots]
 
 
 def _rank_mod_p(rows, ncols, stop):
@@ -138,7 +146,7 @@ def _rank_mod_p(rows, ncols, stop):
 
 def meets_bound(m: Matrix, bound: int) -> bool:
     """Whether the rank of m is certified to equal bound, a proven upper
-    bound on it, without rational elimination.
+    bound on it, without exact elimination.
 
     Each row is scaled to a primitive integer vector, which keeps the rank,
     and the rank is taken modulo PRIME.  Rank mod p is at most the rank
@@ -158,7 +166,7 @@ def rank(m: Matrix, bound=None) -> int:
     """
     if bound is not None and meets_bound(m, bound):
         return bound
-    return len(_echelon(m.entries, m.cols, max_rank=bound))
+    return len(_echelon(m.entries, max_rank=bound))
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,7 @@ class Subspace:
 
 
 def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
-    """RREF span of a collection of coefficient vectors, by rational elimination.
+    """RREF span of a collection of coefficient vectors, by exact elimination.
 
     max_dim is an optional rank cap known to the caller (e.g. the dimension
     of an enclosing subspace all vectors belong to); elimination stops once
@@ -202,7 +210,7 @@ def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {ambient_dim}"
             )
-    pivots = _echelon(vectors, ambient_dim, max_rank=max_dim)
+    pivots = _echelon(vectors, max_rank=max_dim)
     reduced = _back_substitute(pivots)
     return Subspace(ambient_dim, Matrix.from_rows(reduced, cols=ambient_dim))
 
@@ -219,7 +227,7 @@ def nullspace(m: Matrix) -> Subspace:
     kernel and need no second elimination.
     """
     last = m.cols - 1
-    pivots = _echelon([row[::-1] for row in m.entries], m.cols)
+    pivots = _echelon([row[::-1] for row in m.entries])
     reduced = _back_substitute(pivots)
     # pivot rows are reversed: original column c sits at index last - c
     pivot_cols = [last - col for col, _ in pivots]
@@ -239,14 +247,7 @@ def contains(s: Subspace, v) -> bool:
     v = [rat(x) for x in v]
     if len(v) != s.ambient_dim:
         raise ValueError("vector length disagrees with ambient dimension")
-    pivots = []
-    for row in s.basis.entries:
-        for col, x in enumerate(row):
-            if x:
-                pivots.append((col, row))
-                break
-    v = _reduce_row(v, pivots)
-    return not any(v)
+    return len(_echelon([*s.basis.entries, v])) == s.dim
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -254,11 +255,9 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    augmented = [
-        list(m.entries[i]) + [ONE if j == i else ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    pivots = _echelon(augmented, 2 * n)
+    augmented = [[*row, *(int(j == i) for j in range(n))]
+                 for i, row in enumerate(m.entries)]
+    pivots = _echelon(augmented)
     if len(pivots) != n or any(col >= n for col, _ in pivots):
         raise ValueError("matrix is singular")
     reduced = _back_substitute(pivots)

@@ -169,6 +169,6 @@ def is_general_linear_position(g: PointConfiguration) -> bool:
     min(|Gamma|, n) of the coordinate vectors are linearly independent."""
     k = min(g.size, g.n)
     return all(
-        rank(Matrix.from_rows(subset, cols=g.n)) == k
-        for subset in combinations([p.coords for p in g.points], k)
+        rank(Matrix(k, g.n, subset)) == k
+        for subset in combinations([p.integer_coords for p in g.points], k)
     )

@@ -1,16 +1,16 @@
 """Exact rational scalar used throughout the library.
 
-Every dimension is exact: computed over these rationals, or modulo a prime
-only where the result meets a proven bound (see exact_linalg.rank); no
-floating point ever enters a rank decision.  We use gmpy2.mpq when available (it is a
-drop-in, much faster replacement) and fall back to fractions.Fraction.
+Rat stores coordinates, coefficients and each reduced row's final divide
+by its pivot; elimination runs on Python ints (see exact_linalg), and no
+float enters a rank decision.  Rat is gmpy2.mpq with the `fast` extra
+installed (no recorded check exercises it), else fractions.Fraction.
 """
 
 from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
+except ImportError:  # gmpy2 is optional: the `fast` extra
     from fractions import Fraction as Rat
 
 ZERO = Rat(0)

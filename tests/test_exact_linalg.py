@@ -141,21 +141,63 @@ def test_nullspace_is_canonical(m):
     assert s == span(s.basis_vectors(), m.cols)
 
 
+def sympy_rows(sympy, rows):
+    return [[sympy.Rational(rat(x).numerator, rat(x).denominator) for x in row]
+            for row in rows]
+
+
+def sympy_matrix(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, sum(sympy_rows(sympy, m.entries), []))
+
+
 @given(kernel_matrices)
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_sympy(m):
     sympy = pytest.importorskip("sympy")
-    entries = [rat(x) for row in m.entries for x in row]
-    sm = sympy.Matrix(
-        m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in entries]
-    )
-    kernel = sm.nullspace()
+    kernel = sympy_matrix(sympy, m).nullspace()
     expected = (
         sympy.Matrix.hstack(*kernel).T.rref()[0].tolist() if kernel else []
     )
-    got = [[sympy.Rational(x.numerator, x.denominator) for x in v]
-           for v in nullspace(m).basis_vectors()]
-    assert got == expected
+    assert sympy_rows(sympy, nullspace(m).basis_vectors()) == expected
+
+
+@given(kernel_matrices)
+@settings(max_examples=100, deadline=None)
+def test_span_matches_sympy_rref(m):
+    sympy = pytest.importorskip("sympy")
+    reduced = sympy_matrix(sympy, m).rref()[0].tolist() if m.rows and m.cols else []
+    expected = [row for row in reduced if any(row)]
+    assert sympy_rows(sympy, span(m.entries, m.cols).basis_vectors()) == expected
+
+
+@given(kernel_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_contains_matches_rank_growth(m, data):
+    s = span(m.entries, m.cols)
+    coeffs = data.draw(st.lists(integers, min_size=m.rows, max_size=m.rows))
+    inside = [sum(c * row[j] for c, row in zip(coeffs, m.entries))
+              for j in range(m.cols)]
+    outside = data.draw(st.lists(st.one_of(integers, rationals),
+                                 min_size=m.cols, max_size=m.cols))
+    assert contains(s, inside)
+    for v in (inside, outside):
+        grown = rank(Matrix.from_rows([*m.entries, v], cols=m.cols))
+        assert contains(s, v) == (grown == rank(m))
+
+
+@given(kernel_matrices)
+@settings(max_examples=100, deadline=None)
+def test_inverse_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    # the leading square block of the draw, nonsingular or not
+    k = min(m.rows, m.cols)
+    square = Matrix.from_rows([row[:k] for row in m.entries[:k]], cols=k)
+    expected = sympy_matrix(sympy, square)
+    if k and expected.det() == 0:
+        with pytest.raises(ValueError):
+            inverse(square)
+    else:
+        assert sympy_rows(sympy, inverse(square).entries) == expected.inv().tolist()
 
 
 @given(matrices())

@@ -216,7 +216,7 @@ def test_regularity_index():
 
 def test_ordinary_square_rank_is_certified_in_strict_gap_cases(monkeypatch):
     # the products of I_d are independent in the paper's strict-gap cases,
-    # so their modular rank meets the row count and no rational elimination
+    # so their modular rank meets the row count and no exact elimination
     # runs: six points in P^3, and generic plane sets of 7 points at d = 3
     # and of 11 and 12 points at d = 4
     plane = [
@@ -228,7 +228,7 @@ def test_ordinary_square_rank_is_certified_in_strict_gap_cases(monkeypatch):
         ordinary_square_dim(g, 2 * d)
 
     def no_elimination(*args, **kwargs):
-        raise AssertionError("rational elimination ran")
+        raise AssertionError("exact elimination ran")
 
     monkeypatch.setattr(exact_linalg, "_echelon", no_elimination)
     assert ordinary_square_dim(EXAMPLE_SIX_POINTS, 4) == 10

@@ -1,5 +1,7 @@
 """d-independence verdicts, Hilbert functions, general linear position."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -57,7 +59,7 @@ COLLINEAR_FIVE = PointConfiguration(3, tuple((1, t, 0) for t in range(5)))
 def condition2_full_rank(g, d):
     """Condition 2 as stated: for every point s, the value rows at the other
     points and the n gradient rows at s have full rank |Gamma| + n - 1,
-    by rational elimination at the points' own coordinates."""
+    by exact elimination at the points' own coordinates."""
     target = g.size + g.n - 1
     if space_dim(g.n, d) < target:
         return False
@@ -158,6 +160,17 @@ def test_dependent_four_on_hyperplane():
     report = is_d_independent(DEPENDENT_SIX, 2)
     assert report.verdict == "no"
     assert not report.condition2
+
+
+def test_collinear_three_in_p3_window():
+    # I_2 of three collinear points cuts out their line, so HF grows by one
+    # per degree and never reaches |Gamma|: every window rank misses its
+    # bound vanishing_dim(g, k) and exact elimination decides each one
+    g = PointConfiguration(4, ((-3, -1, -2, 2), (-1, 0, -2, 1), (1, 1, -2, 0)))
+    report = is_d_independent(g, 2)
+    assert report.hilbert_values == ((5, 6), (6, 7), (7, 8), (8, 9), (9, 10))
+    assert not report.condition2
+    assert report.verdict == "no"
 
 
 def test_hilbert_function_falls_back_where_bound_cannot_be_met():
@@ -281,6 +294,15 @@ def test_general_linear_position():
     assert is_general_linear_position(PointConfiguration(3, ((1, 0, 0), (0, 1, 0))))
     assert not is_general_linear_position(
         PointConfiguration(3, ((1, 0, 0), (2, 0, 1), (1, 0, 2)))
+    )
+    # rational coordinates are ranked through their primitive integer vectors
+    assert not is_general_linear_position(
+        PointConfiguration(3, ((Fraction(1, 2), 1, 0), (Fraction(1, 3), 0, 1),
+                               (Fraction(5, 6), 1, 1)))
+    )
+    assert is_general_linear_position(
+        PointConfiguration(3, ((Fraction(1, 2), 1, 0), (Fraction(1, 3), 0, 1),
+                               (Fraction(5, 6), 1, 2)))
     )
 
 
