@@ -142,7 +142,7 @@ def test_nullspace_is_canonical(m):
 
 
 def sympy_rows(sympy, rows):
-    return [[sympy.Rational(rat(x).numerator, rat(x).denominator) for x in row]
+    return [[sympy.Rational(x.numerator, x.denominator) for x in map(rat, row)]
             for row in rows]
 
 
