@@ -49,7 +49,6 @@ from .constructions import (
     GenericityError,
     SevenPointScheme,
     SixPointScheme,
-    interpolant_at,
     seven_point_scheme,
     six_point_scheme,
     snd_basis,

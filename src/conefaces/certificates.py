@@ -78,13 +78,14 @@ def roundness_at(p: Form, s: ProjectivePoint) -> bool:
     """Positive definiteness of the Hessian of p on the hyperplane s-perp.
 
     Requires p to vanish to order >= 2 at s.  Decided exactly via
-    Sylvester's criterion on an exact rational basis of s-perp.
+    Sylvester's criterion on the integer basis of s-perp: scaling basis
+    vectors by nonzero integers is a congruence, which keeps the verdict.
     """
     if evaluate(p, s) != 0 or any(gradient_eval(p, s)):
         raise ValueError("form must vanish to order at least 2 at the point")
     h = hessian_eval(p, s)
     perp = nullspace(Matrix.from_rows([s.coords], cols=s.n))
-    b = perp.basis_vectors()
+    b = perp.basis.entries
     m = [
         [
             sum(

@@ -35,6 +35,9 @@ class GenericityError(ValueError):
         self.pair = pair
 
 
+# The quadruple covering of the six points: any two triples meet in one
+# index, and each index lies in two triples.  Relabelling the points gives
+# any other such covering.
 DEFAULT_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
 
 
@@ -79,29 +82,6 @@ def snd_basis(n: int, d: int):
     return [_falling_product(n, d, i, d) for i in range(n)]
 
 
-def interpolant_at(s, n: int, d: int) -> Form:
-    """Degree-d form nonzero at the partition point s, zero at all others."""
-    if isinstance(s, ProjectivePoint):
-        coords = s.coords
-    else:
-        coords = tuple(rat(c) for c in s)
-    parts = []
-    for c in coords:
-        ci = int(c)
-        if c != ci or ci < 0:
-            raise ValueError(f"{coords} is not a nonnegative integer partition")
-        parts.append(ci)
-    if len(parts) != n or sum(parts) != d:
-        raise ValueError(f"{coords} is not a partition of {d} into {n} parts")
-    result = None
-    for i, si in enumerate(parts):
-        if si == 0:
-            continue
-        h = _falling_product(n, d, i, si)
-        result = h if result is None else multiply(result, h)
-    return result
-
-
 def _kernel_vector(rows, ncols):
     ns = nullspace(Matrix(len(rows), ncols, tuple(rows)))
     if ns.dim != 1:
@@ -119,23 +99,6 @@ def _dual_columns(vectors):
 
 def _inner(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def _validate_triples(triples):
-    triples = tuple(tuple(sorted(t)) for t in triples)
-    if len(triples) != 4 or any(len(set(t)) != 3 for t in triples):
-        raise ValueError("need 4 triples of 3 distinct indices each")
-    flat = [i for t in triples for i in t]
-    if set(flat) != set(range(1, 7)):
-        raise ValueError("triples must use the indices 1..6")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if len(set(triples[i]) & set(triples[j])) != 1:
-                raise ValueError("any two triples must meet in exactly one index")
-    for idx in range(1, 7):
-        if flat.count(idx) != 2:
-            raise ValueError("each index must lie in exactly two triples")
-    return triples
 
 
 @dataclass(frozen=True)
@@ -170,23 +133,22 @@ class SixPointScheme:
         }
 
 
-def six_point_scheme(g: PointConfiguration, triples=None) -> SixPointScheme:
+def six_point_scheme(g: PointConfiguration) -> SixPointScheme:
     """Build the scheme; general linear position is sufficient but stronger
     than necessary, so the constructor checks exactly what it uses: every
     covering triple spans a hyperplane, the normals form bases, and the 32
     cross inner products are nonzero."""
     if g.n != 4 or g.size != 6:
         raise ValueError("need exactly 6 points in 4 variables")
-    triples = _validate_triples(triples if triples is not None else DEFAULT_TRIPLES)
     complements = tuple(
-        tuple(sorted(set(range(1, 7)) - set(t))) for t in triples
+        tuple(sorted(set(range(1, 7)) - set(t))) for t in DEFAULT_TRIPLES
     )
 
     def normal(triple):
         rows = [g.points[i - 1].coords for i in triple]
         return _kernel_vector(rows, 4)
 
-    u = tuple(tuple(normal(t)) for t in triples)
+    u = tuple(tuple(normal(t)) for t in DEFAULT_TRIPLES)
     v = tuple(tuple(normal(t)) for t in complements)
     u_dual = tuple(_dual_columns(u))
     v_dual = tuple(_dual_columns(v))
@@ -207,7 +169,8 @@ def six_point_scheme(g: PointConfiguration, triples=None) -> SixPointScheme:
         R = multiply(R, linear_form(u[i]))
     R = R.normalized()
     return SixPointScheme(
-        gamma=g, triples=triples, u=u, v=v, u_dual=u_dual, v_dual=v_dual, Q=Q, R=R
+        gamma=g, triples=DEFAULT_TRIPLES, u=u, v=v, u_dual=u_dual, v_dual=v_dual,
+        Q=Q, R=R,
     )
 
 

@@ -4,11 +4,13 @@ Rank, nullspace, span, membership and inverse over Q: the kernel every
 dimension computation in the library reduces to.  _echelon is its one
 elimination, and it runs on integers.  Each row is scaled to a primitive
 integer vector; a row is cleared at a pivot column by (p/g)·row - (x/g)·pivot
-row, with g = gcd(p, x), and divided by its content.  Only the final divide
-of each reduced row by its pivot entry makes rationals, and the canonical
-RREF it gives makes subspace equality a structural comparison.  Pivoting
-picks the first nonzero entry per column; exact arithmetic needs no
-magnitude pivoting.
+row, with g = gcd(p, x), and divided by its content.  A subspace is stored
+as its integer RREF: each rational RREF row scaled to its primitive integer
+multiple with a positive pivot entry.  That form is canonical, so subspace
+equality is a structural comparison.  Rationals appear only where a caller
+reads them: Subspace.basis_vectors divides each row by its pivot entry, and
+so does inverse.  Pivoting picks the first nonzero entry per column; exact
+arithmetic needs no magnitude pivoting.
 
 A rank whose caller knows a proven upper bound is first taken modulo a
 word-size prime; the modular rank never exceeds the rank over Q, so when
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rational import ZERO, ONE, Rat, rat
+from .rational import ZERO, Rat, rat
 
 
 # Prime for certified ranks: below 2**31, so the product of two residues
@@ -107,15 +109,23 @@ def _echelon(rows, max_rank=None):
 
 
 def _back_substitute(pivots):
-    """Turn echelon pivot rows into canonical RREF rows: clear above each
-    pivot by the same integer step, then divide each row by its pivot."""
+    """Turn echelon pivot rows into canonical integer RREF rows: clear above
+    each pivot by the same integer step, then make each pivot entry
+    positive.  Returns [(pivot_col, row), ...] with primitive int rows."""
     for i in range(len(pivots) - 1, -1, -1):
         col, prow = pivots[i]
         for j in range(i):
             cj, rowj = pivots[j]
             if rowj[col]:
                 pivots[j] = (cj, _clear(rowj, prow, col))
-    return [[Rat(x, row[col]) if x else ZERO for x in row] for col, row in pivots]
+    return [(col, tuple(row) if row[col] > 0 else tuple(-x for x in row))
+            for col, row in pivots]
+
+
+def _rational_row(row):
+    """A row with a leading nonzero entry, divided by that entry."""
+    p = next(x for x in row if x)
+    return tuple(Rat(x, p) if x else ZERO for x in row)
 
 
 def _rank_mod_p(rows, ncols, stop):
@@ -171,10 +181,12 @@ def rank(m: Matrix, bound=None) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace given by its canonical RREF basis (no zero rows).
+    """A linear subspace given by its canonical integer RREF basis: each
+    row is the primitive integer multiple, with a positive pivot entry, of
+    a row of the rational RREF (no zero rows).
 
     Two subspaces are equal iff their bases are literally equal, which is
-    exactly why the basis is kept in RREF.
+    exactly why the basis is kept in this canonical form.
     """
 
     ambient_dim: int
@@ -189,11 +201,8 @@ class Subspace:
         return self.basis.rows
 
     def basis_vectors(self):
-        return list(self.basis.entries)
-
-    def integer_basis_vectors(self):
-        """The basis rows scaled to primitive integer vectors."""
-        return [_integer_row(row) for row in self.basis.entries]
+        """The rational RREF basis: each row divided by its pivot entry."""
+        return [_rational_row(row) for row in self.basis.entries]
 
 
 def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
@@ -210,36 +219,40 @@ def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {ambient_dim}"
             )
-    pivots = _echelon(vectors, max_rank=max_dim)
-    reduced = _back_substitute(pivots)
-    return Subspace(ambient_dim, Matrix.from_rows(reduced, cols=ambient_dim))
+    reduced = [row for _, row in _back_substitute(_echelon(vectors, max_rank=max_dim))]
+    return Subspace(ambient_dim, Matrix(len(reduced), ambient_dim, tuple(reduced)))
 
 
 def nullspace(m: Matrix) -> Subspace:
-    """Kernel of m, as a canonical RREF subspace of dimension cols - rank.
+    """Kernel of m, as a canonical integer RREF subspace of dimension
+    cols - rank.
 
     The columns are eliminated in reverse order, so each reduced pivot row
-    ends at its pivot column p: it is e_p plus entries at free columns
-    before p.  The kernel vector of a free column f is e_f minus the
-    entries at f of the pivot rows, which sit at pivot columns after f.
-    It leads at f and is zero at every other free column, so these
-    vectors, ordered by f, are already the canonical RREF basis of the
-    kernel and need no second elimination.
+    ends at its pivot column p: it is a positive multiple of e_p plus
+    entries at free columns before p.  The kernel vector of a free column f
+    takes L, the lcm of the pivot entries of the rows nonzero at f, at f,
+    and -row[f]·(L / pivot) at each such row's pivot column, all after f;
+    over its content it is primitive.  It leads at f with a positive entry
+    and is zero at every other free column, so these vectors, ordered by f,
+    are already the canonical basis of the kernel and need no second
+    elimination.
     """
     last = m.cols - 1
-    pivots = _echelon([row[::-1] for row in m.entries])
-    reduced = _back_substitute(pivots)
+    pivots = _back_substitute(_echelon([row[::-1] for row in m.entries]))
     # pivot rows are reversed: original column c sits at index last - c
-    pivot_cols = [last - col for col, _ in pivots]
-    free_cols = sorted(set(range(m.cols)).difference(pivot_cols))
+    reduced = [(last - col, row) for col, row in pivots]
+    free_cols = sorted(set(range(m.cols)).difference(col for col, _ in reduced))
     basis = []
     for f in free_cols:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for col, row in zip(pivot_cols, reduced):
-            v[col] = -row[last - f]
-        basis.append(v)
-    return Subspace(m.cols, Matrix.from_rows(basis, cols=m.cols))
+        hits = [(col, row[last - col], row[last - f]) for col, row in reduced
+                if row[last - f]]
+        lcm = math.lcm(*(p for _, p, _ in hits))
+        v = [0] * m.cols
+        v[f] = lcm
+        for col, p, x in hits:
+            v[col] = -x * (lcm // p)
+        basis.append(tuple(_primitive(v)))
+    return Subspace(m.cols, Matrix(len(basis), m.cols, tuple(basis)))
 
 
 def contains(s: Subspace, v) -> bool:
@@ -260,6 +273,6 @@ def inverse(m: Matrix) -> Matrix:
     pivots = _echelon(augmented)
     if len(pivots) != n or any(col >= n for col, _ in pivots):
         raise ValueError("matrix is singular")
-    reduced = _back_substitute(pivots)
-    return Matrix.from_rows([row[n:] for row in reduced], cols=n)
+    reduced = [_rational_row(row)[n:] for _, row in _back_substitute(pivots)]
+    return Matrix.from_rows(reduced, cols=n)
 

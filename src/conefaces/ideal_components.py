@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exact_linalg import Matrix, Subspace, nullspace, rank, span
-from .polynomials import Form, ProjectivePoint, derivative_rows, product_rows, space_dim
+from .polynomials import ProjectivePoint, derivative_rows, product_rows, space_dim
 from .rational import rat
 
 
@@ -67,7 +67,8 @@ class PointConfiguration:
             raise ValueError("'points' must be a list of coordinate lists")
         try:
             points = tuple(tuple(rat(c) for c in p) for p in points)
-        except TypeError:
+        except (TypeError, ZeroDivisionError, OverflowError):
+            # "1/0", and Infinity or 1e400, which JSON reads as a float inf
             raise ValueError("point coordinates must be rationals") from None
         return cls(data["n"], points)
 
@@ -126,10 +127,6 @@ def _gradient_matrix(g: PointConfiguration, e: int) -> Matrix:
     return Matrix(len(rows), space_dim(g.n, e), tuple(rows))
 
 
-def basis_forms(s: Subspace, n: int, d: int):
-    return [Form(n, d, row) for row in s.basis_vectors()]
-
-
 def _square_matrix(g: PointConfiguration, e: int) -> Matrix:
     """Integer rows spanning the degree-e part of I(Gamma)^2.
 
@@ -149,12 +146,12 @@ def _square_matrix(g: PointConfiguration, e: int) -> Matrix:
     top = max((e + 1) // 2, _regularity_index(g, e - low - 1) + 1)
     rows = []
     for a in range(max(low, e - top), e // 2 + 1):
-        fa = vanishing_component(g, a).integer_basis_vectors()
+        fa = vanishing_component(g, a).basis.entries
         if a == e - a:
             for i, f in enumerate(fa):
                 rows += product_rows([f], fa[i:], g.n, a, a)
         else:
-            fb = vanishing_component(g, e - a).integer_basis_vectors()
+            fb = vanishing_component(g, e - a).basis.entries
             rows += product_rows(fa, fb, g.n, a, e - a)
     return Matrix(len(rows), space_dim(g.n, e), tuple(rows))
 

@@ -75,7 +75,7 @@ def condition2_holds(g: PointConfiguration, d: int) -> bool:
     free = space_dim(g.n, d) - g.size
     if free < g.n - 1 or vanishing_dim(g, d) != free:
         return False
-    basis = vanishing_component(g, d).integer_basis_vectors()
+    basis = vanishing_component(g, d).basis.entries
     for s in g.points:
         rows = tuple(
             tuple(sum(a * b for a, b in zip(grad, f) if a) for f in basis)
@@ -96,7 +96,7 @@ def _ideal_matrix(g: PointConfiguration, d: int, k: int) -> Matrix:
     """
     if k < d:
         raise ValueError("degree k must be at least d")
-    basis = vanishing_component(g, d).integer_basis_vectors()
+    basis = vanishing_component(g, d).basis.entries
     count = space_dim(g.n, k - d)
     units = [[int(i == j) for j in range(count)] for i in range(count)]
     rows = product_rows(units, basis, g.n, k - d, d)

@@ -8,7 +8,7 @@ the subspaces computed elsewhere; there is no conversion layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exact_linalg import Matrix, _integer_row
@@ -47,14 +47,20 @@ def monomial_index(n: int, d: int) -> dict:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A nonzero rational coordinate vector, compared up to scale."""
+    """A nonzero rational coordinate vector, compared up to scale.
+
+    integer_coords is the primitive integer vector on the point's line,
+    which matrix builders evaluate at (see derivative_rows).
+    """
 
     coords: tuple
+    integer_coords: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(rat(c) for c in self.coords))
         if not any(self.coords):
             raise ValueError("projective point must have a nonzero coordinate")
+        object.__setattr__(self, "integer_coords", tuple(_integer_row(self.coords)))
 
     @property
     def n(self) -> int:
@@ -68,15 +74,6 @@ class ProjectivePoint:
         """
         lead = next(c for c in self.coords if c)
         return tuple(c / lead for c in self.coords)
-
-    @property
-    def integer_coords(self) -> tuple:
-        """The primitive integer vector on this point's line, which matrix
-        builders evaluate at (see derivative_rows)."""
-        return tuple(_integer_row(self.coords))
-
-    def projectively_equal(self, other: "ProjectivePoint") -> bool:
-        return self.canonical() == other.canonical()
 
     def to_json(self):
         return [rat_str(c) for c in self.coords]
@@ -97,10 +94,6 @@ class Form:
                 f"expected {space_dim(self.n, self.degree)} coefficients, "
                 f"got {len(self.coeffs)}"
             )
-
-    @classmethod
-    def zero(cls, n, degree):
-        return cls(n, degree, (ZERO,) * space_dim(n, degree))
 
     @classmethod
     def from_terms(cls, n, degree, terms):
@@ -147,11 +140,6 @@ class Form:
                 for exp, c in self.terms().items()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {tuple(t["exp"]): rat(t["coef"]) for t in data["terms"]}
-        return cls.from_terms(data["n"], data["degree"], terms)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """Exact rational scalar used throughout the library.
 
-Rat stores coordinates, coefficients and each reduced row's final divide
-by its pivot; elimination runs on Python ints (see exact_linalg), and no
-float enters a rank decision.  Rat is gmpy2.mpq with the `fast` extra
+Rat stores coordinates and coefficients.  Elimination and subspace bases
+are Python ints (see exact_linalg); rationals come back only where
+Subspace.basis_vectors or inverse divide a reduced row by its pivot, and
+no float enters a rank decision.  Rat is gmpy2.mpq with the `fast` extra
 installed (no recorded check exercises it), else fractions.Fraction.
 """
 

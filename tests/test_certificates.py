@@ -166,9 +166,9 @@ def test_epsilon_search_zero_r(six):
 
 def test_epsilon_search_requires_roundness():
     g = PointConfiguration(2, ((1, 0),))
-    flat = Form.zero(2, 2)  # zero SOS part: Hessian degenerate everywhere
+    flat = Form(2, 2, (0, 0, 0))  # zero SOS part: Hessian degenerate everywhere
     with pytest.raises(ValueError):
-        epsilon_search([flat], Form.zero(2, 4), g)
+        epsilon_search([flat], Form(2, 4, (0,) * 5), g)
 
 
 def test_import_does_not_load_numpy():

@@ -138,6 +138,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     null_coord.write_text(json.dumps({"n": 3, "points": [[1, None, 0]]}))
     float_n = tmp_path / "float_n.json"
     float_n.write_text(json.dumps({"n": 3.0, "points": [[1, 0, 0], [0, 1, 0]]}))
+    # a zero denominator, and two coordinates that JSON reads as a float inf
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"n": 3, "points": [[1, "1/0", 0]]}))
+    infinity = tmp_path / "infinity.json"
+    infinity.write_text('{"n": 3, "points": [[1, Infinity, 0]]}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 3, "points": [[1, 1e400, 0]]}')
     for argv in (
         ["dims", "--n", "3", "--d", "2"],  # neither --config nor --random-size
         ["dims", "--n", "5", "--d", "2", "--config", str(plane)],
@@ -145,6 +152,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["dims", "--n", "3", "--d", "2", "--config", str(int_points)],
         ["dims", "--n", "3", "--d", "2", "--config", str(null_coord)],
         ["dims", "--n", "3", "--d", "2", "--config", str(float_n)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(zero_den)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(infinity)],
+        ["dims", "--n", "3", "--d", "2", "--config", str(huge)],
         ["independence", "--n", "5", "--d", "2", "--config", str(plane)],
         # too few projective points to draw: these used to loop forever
         ["random", "--n", "1", "--size", "2"],

@@ -10,7 +10,6 @@ from conefaces.constructions import (
     SEVEN_POINTS_PERTURBED,
     SEVEN_POINTS_UNPERTURBED,
     GenericityError,
-    interpolant_at,
     seven_point_scheme,
     six_point_scheme,
     snd_basis,
@@ -66,17 +65,6 @@ def test_snd_basis_spans_vanishing_component():
         assert span([q.coeffs for q in snd_basis(n, d)], space_dim(n, d)) == v
 
 
-def test_interpolant():
-    pts = snd_points(3, 3)
-    s = pts.points[0]
-    f = interpolant_at(s, 3, 3)
-    assert evaluate(f, s) != 0
-    for other in pts.points[1:]:
-        assert evaluate(f, other) == 0
-    with pytest.raises(ValueError):
-        interpolant_at((1, 1, 2), 3, 3)  # sums to 4, not a partition of 3
-
-
 def test_six_point_scheme_example():
     scheme = six_point_scheme(EXAMPLE_SIX_POINTS)
     assert scheme.triples == DEFAULT_TRIPLES
@@ -124,12 +112,6 @@ def test_six_point_scheme_random_glp():
 def test_six_point_scheme_rejects_bad_input():
     with pytest.raises(ValueError):
         six_point_scheme(random_configuration(4, 5, seed=0))
-    with pytest.raises(ValueError):
-        six_point_scheme(EXAMPLE_SIX_POINTS, triples=((1, 2, 3),) * 4)
-    with pytest.raises(ValueError):
-        six_point_scheme(
-            EXAMPLE_SIX_POINTS, triples=((1, 2, 3), (4, 5, 6), (1, 2, 4), (3, 5, 6))
-        )
 
 
 def test_seven_point_scheme_perturbed():

@@ -246,12 +246,34 @@ def test_certified_rank_survives_unlucky_prime():
         assert rank(m, bound=2) == rank(m) == 2
 
 
-def test_integer_basis_vectors_are_primitive():
-    s = span([[2, 4, 6], [Fraction(1, 2), 0, Fraction(-1, 3)]], 3)
-    for v, w in zip(s.integer_basis_vectors(), s.basis_vectors()):
-        assert all(type(x) is int for x in v)
-        assert math.gcd(*v) == 1
-        assert rank(Matrix.from_rows([v, w])) == 1
+def assert_canonical(s):
+    """Primitive int rows with a positive pivot entry, and zeros above and
+    below each pivot."""
+    rows = s.basis.entries
+    pivots = []
+    for row in rows:
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1
+        col = next(j for j, x in enumerate(row) if x)
+        assert row[col] > 0
+        pivots.append(col)
+    assert pivots == sorted(set(pivots))
+    for i, col in enumerate(pivots):
+        assert not any(row[col] for j, row in enumerate(rows) if j != i)
+
+
+@given(kernel_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_bases_are_canonical_integer_rref(m, data):
+    s = span(m.entries, m.cols)
+    assert_canonical(s)
+    assert_canonical(nullspace(m))
+    # the stored basis depends on the subspace only
+    scales = data.draw(st.lists(rationals.filter(bool), min_size=m.rows, max_size=m.rows))
+    scaled = data.draw(st.permutations(
+        [[c * x for x in row] for c, row in zip(scales, m.entries)]
+    ))
+    assert span(scaled, m.cols) == s
 
 
 def test_span_max_dim_cap_is_lossless():

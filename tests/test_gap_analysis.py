@@ -16,6 +16,8 @@ from conefaces.gap_analysis import (
     naive_gap,
     ternary_prediction,
 )
+from conefaces.ideal_components import symbolic_square_dim
+from conefaces.sampling import random_configuration
 
 
 def test_naive_gap_known_values():
@@ -66,6 +68,28 @@ def test_gap_bound_is_concave_and_bounded(n, d):
 def test_ah_count_nonnegative(n, d, k):
     assert ah_count(n, 2 * d, k) >= 0
     assert ah_count(n, 2 * d, k) >= math.comb(n + 2 * d - 1, 2 * d) - n * k
+
+
+# The Alexander-Hirschowitz exceptions in n = 3, 4, 5 variables besides
+# quadrics: there |Gamma| double points fail to impose independent conditions.
+AH_EXCEPTIONS = {(3, 4, 5), (4, 4, 9), (5, 4, 14), (5, 3, 7)}
+
+
+def test_symbolic_square_matches_alexander_hirschowitz():
+    # Alexander-Hirschowitz (J. Algebraic Geom. 4, 1995): general double
+    # points impose independent conditions, so the symbolic square has the
+    # dimension ah_count, except for quadrics with 2 <= |Gamma| <= n - 1
+    # and the listed (n, e, |Gamma|)
+    for n in (3, 4, 5):
+        for e in range(2, 7):
+            for k in range(1, 16):
+                g = random_configuration(n, k, seed=1000 * n + 100 * e + k)
+                special = (e == 2 and 2 <= k <= n - 1) or (n, e, k) in AH_EXCEPTIONS
+                expected = ah_count(n, e, k)
+                if special:
+                    assert symbolic_square_dim(g, e) != expected, (n, e, k)
+                else:
+                    assert symbolic_square_dim(g, e) == expected, (n, e, k)
 
 
 def test_ternary_prediction():

@@ -15,7 +15,6 @@ from conefaces.ideal_components import (
     PointConfiguration,
     _regularity_index,
     alpha,
-    basis_forms,
     face_report,
     ordinary_square_component,
     ordinary_square_dim,
@@ -24,7 +23,7 @@ from conefaces.ideal_components import (
     vanishing_component,
     vanishing_dim,
 )
-from conefaces.polynomials import evaluate, gradient_eval, multiply, space_dim
+from conefaces.polynomials import Form, evaluate, gradient_eval, multiply, space_dim
 from conefaces.sampling import random_configuration
 
 
@@ -89,7 +88,7 @@ def test_vanishing_component_single_point():
     g = PointConfiguration(3, ((1, 0, 0),))
     v = vanishing_component(g, 2)
     assert v.dim == space_dim(3, 2) - 1
-    for f in basis_forms(v, 3, 2):
+    for f in [Form(3, 2, row) for row in v.basis.entries]:
         assert evaluate(f, g.points[0]) == 0
 
 
@@ -97,7 +96,7 @@ def test_symbolic_square_single_point():
     g = PointConfiguration(3, ((1, 1, 1),))
     s = symbolic_square_component(g, 4)
     assert s.dim == space_dim(3, 4) - 3
-    for f in basis_forms(s, 3, 4):
+    for f in [Form(3, 4, row) for row in s.basis.entries]:
         assert not any(gradient_eval(f, g.points[0]))
 
 
@@ -108,9 +107,9 @@ def test_components_vanish_at_given_coordinates(g):
     # against the rational coordinates as given
     v = vanishing_component(g, 2)
     s = symbolic_square_component(g, 4)
-    for f in basis_forms(v, 3, 2):
+    for f in [Form(3, 2, row) for row in v.basis.entries]:
         assert all(evaluate(f, p) == 0 for p in g.points)
-    for f in basis_forms(s, 3, 4):
+    for f in [Form(3, 4, row) for row in s.basis.entries]:
         assert all(not any(gradient_eval(f, p)) for p in g.points)
 
 
@@ -133,8 +132,8 @@ def test_ordinary_square_uses_all_splits():
     g = PointConfiguration(3, ((1, 0, 0), (0, 1, 0)))
     assert alpha(g) == 1
     ordi = ordinary_square_component(g, 4)
-    lin = basis_forms(vanishing_component(g, 1), 3, 1)[0]
-    cubics = basis_forms(vanishing_component(g, 3), 3, 3)
+    lin = Form(3, 1, vanishing_component(g, 1).basis.entries[0])
+    cubics = [Form(3, 3, row) for row in vanishing_component(g, 3).basis.entries]
     for c in cubics:
         assert contains(ordi, multiply(lin, c).coeffs)
 
@@ -170,8 +169,9 @@ def all_splits_span(g, e):
     with no use of the generation degree (for a = e - a, the pairs i <= j)."""
     products = []
     for a in range(alpha(g), e // 2 + 1):
-        fa = basis_forms(vanishing_component(g, a), g.n, a)
-        fb = basis_forms(vanishing_component(g, e - a), g.n, e - a)
+        fa = [Form(g.n, a, row) for row in vanishing_component(g, a).basis.entries]
+        fb = [Form(g.n, e - a, row)
+              for row in vanishing_component(g, e - a).basis.entries]
         for i, f in enumerate(fa):
             products += [multiply(f, h).coeffs for h in fb[i if a == e - a else 0:]]
     return span(products, space_dim(g.n, e))
@@ -242,7 +242,8 @@ def test_ordinary_square_rank_falls_back_where_bound_cannot_be_met():
     # 11; checked against 11, which no modular rank can meet, their rank
     # is decided by exact elimination (ordinary_square_dim checks it
     # against the row count, 10, instead)
-    quadrics = basis_forms(vanishing_component(EXAMPLE_SIX_POINTS, 2), 4, 2)
+    quadrics = [Form(4, 2, row)
+                for row in vanishing_component(EXAMPLE_SIX_POINTS, 2).basis.entries]
     products = Matrix.from_rows(
         [multiply(f, h).coeffs for i, f in enumerate(quadrics) for h in quadrics[i:]]
     )

@@ -15,7 +15,6 @@ from conefaces.constructions import (
 from conefaces.exact_linalg import Matrix, rank
 from conefaces.ideal_components import (
     PointConfiguration,
-    basis_forms,
     face_report,
     vanishing_component,
     vanishing_dim,
@@ -178,7 +177,7 @@ def test_hilbert_function_falls_back_where_bound_cannot_be_met():
     # their rank misses its bound vanishing_dim(g, k) and exact elimination
     # decides
     g = DEPENDENT_SIX
-    quadrics = basis_forms(vanishing_component(g, 2), 4, 2)
+    quadrics = [Form(4, 2, row) for row in vanishing_component(g, 2).basis.entries]
     for k in (5, 6):
         products = Matrix.from_rows(
             [multiply(Form.from_terms(4, k - 2, {exp: 1}), q).coeffs

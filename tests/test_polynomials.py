@@ -60,7 +60,7 @@ def test_monomial_basis_graded_lex():
 def test_projective_point_canonical():
     p = ProjectivePoint((0, 2, 4))
     assert p.canonical() == (ZERO, rat(1), rat(2))
-    assert p.projectively_equal(ProjectivePoint((0, 1, 2)))
+    assert p.canonical() == ProjectivePoint((0, 1, 2)).canonical()
     with pytest.raises(ValueError):
         ProjectivePoint((0, 0, 0))
 
@@ -68,7 +68,6 @@ def test_projective_point_canonical():
 def test_form_from_terms_roundtrip():
     f = Form.from_terms(3, 2, {(2, 0, 0): 1, (0, 1, 1): -3})
     assert f.terms() == {(2, 0, 0): rat(1), (0, 1, 1): rat(-3)}
-    assert Form.from_json(f.to_json()) == f
     with pytest.raises(ValueError):
         Form.from_terms(3, 2, {(3, 0, 0): 1})
 
@@ -78,7 +77,7 @@ def test_form_add_scale_normalize():
     g = f + f.scale(-1)
     assert g.is_zero()
     assert f.normalized().terms() == {(2, 0): rat(1), (0, 2): rat(2)}
-    assert Form.zero(2, 2).normalized().is_zero()
+    assert Form(2, 2, (0, 0, 0)).normalized().is_zero()
 
 
 def test_evaluate_known():
@@ -132,7 +131,7 @@ def test_derivative_rows_rescale(p, lam, d):
         ]
     ints = ProjectivePoint(tuple(lam * c for c in p.coords)).integer_coords
     assert all(type(x) is int for x in ints) and math.gcd(*ints) == 1
-    assert ProjectivePoint(ints).projectively_equal(p)
+    assert ProjectivePoint(ints).canonical() == p.canonical()
     with pytest.raises(ValueError):
         derivative_rows(p.coords, d, d + 1)
 
@@ -162,8 +161,8 @@ def test_linear_form():
 def test_shape_mismatches_raise():
     with pytest.raises(ValueError):
         Form(3, 2, (rat(1),) * 5)
-    f = Form.zero(3, 2)
+    f = Form(3, 2, (0,) * 6)
     with pytest.raises(ValueError):
         evaluate(f, ProjectivePoint((1, 1)))
     with pytest.raises(ValueError):
-        f + Form.zero(3, 3)
+        f + Form(3, 3, (0,) * 10)
