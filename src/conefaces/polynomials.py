@@ -47,7 +47,8 @@ def monomial_index(n: int, d: int) -> dict:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A nonzero rational coordinate vector, compared up to scale.
+    """A nonzero rational coordinate vector; canonical() identifies it up
+    to scale.
 
     integer_coords is the primitive integer vector on the point's line,
     which matrix builders evaluate at (see derivative_rows).
