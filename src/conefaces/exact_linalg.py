@@ -158,12 +158,14 @@ def meets_bound(m: Matrix, bound: int) -> bool:
     """Whether the rank of m is certified to equal bound, a proven upper
     bound on it, without exact elimination.
 
-    Each row is scaled to a primitive integer vector, which keeps the rank,
-    and the rank is taken modulo PRIME.  Rank mod p is at most the rank
-    over Q, so a modular rank equal to bound proves the rank is bound.
-    False means the rank is below the bound, or the prime divides a minor.
+    Integer rows are reduced modulo PRIME as they are; a row that holds a
+    non-int is first scaled to a primitive integer vector, which keeps the
+    rank.  Rank mod p is at most the rank over Q, so a modular rank equal
+    to bound proves the rank is bound.  False means the rank is below the
+    bound, or the prime divides a minor.
     """
-    rows = [_integer_row(r) for r in m.entries]
+    rows = [r if all(type(x) is int for x in r) else _integer_row(r)
+            for r in m.entries]
     return _rank_mod_p(rows, m.cols, bound) == bound
 
 

@@ -29,6 +29,8 @@ class PointConfiguration:
 
     n: int
     points: tuple
+    # every cached function hashes its configuration, so it is hashed once
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # bool is an int too, and its values are below 2 anyway
@@ -50,6 +52,10 @@ class PointConfiguration:
             if key in seen:
                 raise ValueError(f"repeated projective point {key}")
             seen.add(key)
+        object.__setattr__(self, "_hash", hash((self.n, points)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -112,9 +118,26 @@ def symbolic_square_component(g: PointConfiguration, e: int) -> Subspace:
 def symbolic_square_dim(g: PointConfiguration, e: int) -> int:
     """dim of the degree-e symbolic square without materializing a basis.
 
-    The n|Gamma| gradient rows have rank at most min(n|Gamma|, dim H_{n,e}),
-    which is the bound their certified rank is checked against.
+    At e = 2d, where Gamma satisfies condition 2 in degree d, double points
+    impose independent conditions and the dimension is dim H_{n,2d} -
+    n|Gamma|, with no rank.  Proof: at each s in Gamma, condition 2 gives a
+    form q in H_d with q(s) = 1 and q = 0 on Gamma minus s, and forms q' in
+    I_d whose gradients at s span s-perp (the n x dim I_d matrix M_s has
+    rank n - 1).  The products q q' and q^2 vanish doubly on Gamma minus s.
+    At s their gradients are q(s) grad q'(s), which span s-perp, and
+    2 grad q(s), which lies outside s-perp because s . grad q(s) = d q(s)
+    = d by Euler's identity.  So the n gradient functionals at s are
+    independent on these forms, which all the other points' functionals
+    annihilate, and the n|Gamma| functionals are independent on H_{n,2d}.
+
+    Otherwise the n|Gamma| gradient rows have rank at most min(n|Gamma|,
+    dim H_{n,e}), which is the bound their certified rank is checked
+    against.
     """
+    from .independence import condition2_holds
+
+    if e >= 2 and e % 2 == 0 and condition2_holds(g, e // 2):
+        return space_dim(g.n, e) - g.n * g.size
     m = _gradient_matrix(g, e)
     return m.cols - rank(m, bound=min(m.rows, m.cols))
 

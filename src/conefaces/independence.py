@@ -13,7 +13,8 @@ Gamma, the least t with HF_Gamma(t) = |Gamma|; I(Gamma) is generated in
 degrees <= r + 1 (Eisenbud, The Geometry of Syzygies, GTM 229, ch. 4).
 So once the ideal generated by I_d fills I_k(Gamma) at some k >= r + 1,
 it fills every larger degree too, and the Hilbert function is |Gamma|
-from k on: one rank decides the whole window.  The argument does not use
+from k on: one rank decides the whole window.  Above r, dim I_k(Gamma) is
+dim H_{n,k} - |Gamma| without a rank.  The argument does not use
 condition 2, so the window is settled this one way for every set.
 
 Condition 2 asks that, for every point s, the values at the other points
@@ -30,6 +31,16 @@ never when |Gamma| + n - 1 > dim H_{n,d}.  When it fails the verdict is
 "no" whatever the Hilbert function says; independence_verdict then
 returns it without ranking any value, and only is_d_independent, whose
 report prints the window, ranks it.
+
+When condition 2 holds, double points impose independent conditions in
+degree 2d, so dim I^(2)_2d = dim H_{n,2d} - n|Gamma|, the generic
+Alexander-Hirschowitz count.  At each s, condition 2 gives q in H_d with
+q(s) = 1 and q = 0 on Gamma minus s, and q' in I_d whose gradients at s
+span s-perp.  The products q q' and q^2 vanish doubly on Gamma minus s;
+at s their gradients are grad q'(s), spanning s-perp, and 2 grad q(s),
+outside s-perp since s . grad q(s) = d.  So the n|Gamma| gradient
+functionals are independent, and symbolic_square_dim reads the dimension
+from condition 2 instead of ranking them.
 """
 
 from __future__ import annotations
@@ -69,8 +80,10 @@ def condition2_holds(g: PointConfiguration, d: int) -> bool:
     """Linear independence of single vanishing plus one double vanishing,
     decided from the integer basis of I_d as the module docstring shows:
     dim I_d = dim H_{n,d} - |Gamma|, and at every point s the n x dim I_d
-    matrix of the basis partials at s has rank n - 1, a proven bound.
-    Cached, so that the verdict and the report compute it once.
+    matrix of the basis partials at s has rank n - 1.  That rank is exact
+    elimination of n rows, at most n - 1 integer pivots, which costs less
+    than a modular attempt.  Cached, so that the verdict, the report and
+    symbolic_square_dim compute it once.
     """
     free = space_dim(g.n, d) - g.size
     if free < g.n - 1 or vanishing_dim(g, d) != free:
@@ -81,7 +94,7 @@ def condition2_holds(g: PointConfiguration, d: int) -> bool:
             tuple(sum(a * b for a, b in zip(grad, f) if a) for f in basis)
             for grad in derivative_rows(s.integer_coords, d, 1)
         )
-        if rank(Matrix(g.n, free, rows), bound=g.n - 1) != g.n - 1:
+        if rank(Matrix(g.n, free, rows)) != g.n - 1:
             return False
     return True
 
@@ -119,16 +132,17 @@ def is_d_independent(g: PointConfiguration, d: int) -> IndependenceReport:
 
     The window is settled the same way for every set, whatever condition 2
     says.  With r the regularity index, the unreported degrees
-    max(d, r + 1) .. k* - 1 are checked by a certified modular rank alone:
-    one value of |Gamma| there fixes the whole window at |Gamma| (see the
-    module docstring).  Otherwise each window degree is ranked exactly,
+    max(d, r + 1) .. k* - 1 are checked by a certified modular rank alone,
+    against dim I_k(Gamma) = dim H_{n,k} - |Gamma| for k > r: one value of
+    |Gamma| there fixes the whole window at |Gamma| (see the module
+    docstring).  Otherwise each window degree is ranked exactly,
     until a value of |Gamma| above r fixes the rest, and the walk stops
     at the first two consecutive values that agree.
     """
     k_star = (g.n - 1) * (d - 1) + d
     r = _regularity_index(g, k_star + g.n)
     settled = any(
-        meets_bound(_ideal_matrix(g, d, k), vanishing_dim(g, k))
+        meets_bound(_ideal_matrix(g, d, k), space_dim(g.n, k) - g.size)
         for k in range(max(d, r + 1), k_star)
     )
     values = []

@@ -63,6 +63,11 @@ class ProjectivePoint:
             raise ValueError("projective point must have a nonzero coordinate")
         object.__setattr__(self, "integer_coords", tuple(_integer_row(self.coords)))
 
+    def __hash__(self):
+        # equal coords give equal integer_coords, and ints hash faster
+        # than Fractions
+        return hash(self.integer_coords)
+
     @property
     def n(self) -> int:
         return len(self.coords)

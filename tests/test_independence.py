@@ -1,6 +1,8 @@
 """d-independence verdicts, Hilbert functions, general linear position."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,10 @@ from conefaces.constructions import (
 from conefaces.exact_linalg import Matrix, rank
 from conefaces.ideal_components import (
     PointConfiguration,
+    _gradient_matrix,
+    _regularity_index,
     face_report,
+    symbolic_square_dim,
     vanishing_component,
     vanishing_dim,
 )
@@ -318,3 +323,87 @@ def test_random_configuration_predicates():
     assert is_d_independent(g2, 3).verdict == "yes"
     with pytest.raises(ValueError):
         random_configuration(3, 8, d_independent=3)
+
+
+def _distinct(n, coords):
+    """The configuration of the nonzero, projectively distinct vectors."""
+    points = {}
+    for c in coords:
+        if any(c):
+            points.setdefault(ProjectivePoint(tuple(c)).canonical(), tuple(c))
+    return PointConfiguration(n, tuple(points.values()))
+
+
+def closed_form_sets():
+    """(Gamma, d) for n = 2 .. 4 and d = 1 .. 3, with |Gamma| from 1 to one
+    past the largest size condition 2 allows: random points, points with
+    coordinates in {-1, 0, 1}, and points on a line or a rational normal
+    curve; then sets where condition 2 fails for a known reason."""
+    rng = random.Random(16)
+    for n in (2, 3, 4):
+        signs = [v for v in product((-1, 0, 1), repeat=n)
+                 if any(v) and next(x for x in v if x) > 0]
+        for d in (1, 2, 3):
+            for size in range(1, space_dim(n, d) - n + 3):
+                yield _distinct(n, [[rng.randint(-9, 9) for _ in range(n)]
+                                    for _ in range(size)]), d
+                if size <= len(signs):
+                    yield _distinct(n, rng.sample(signs, size)), d
+                ts = rng.sample(range(-6, 7), size) if size <= 13 else range(size)
+                if size % 2:
+                    a = [rng.randint(-3, 3) for _ in range(n)]
+                    b = [rng.randint(-3, 3) for _ in range(n)]
+                    curve = [[x + t * y for x, y in zip(a, b)] for t in ts]
+                else:
+                    curve = [[t ** i for i in range(n)] for t in ts]
+                yield _distinct(n, curve), d
+    yield DEPENDENT_SIX, 2
+    yield COLLINEAR_FIVE, 2
+    yield COLLINEAR_FIVE, 3
+    # the Alexander-Hirschowitz exceptions at e = 2d: quadrics through
+    # 2 .. n - 1 general points, and quartics through 5 points in P^2 and
+    # 9 points in P^3
+    yield random_configuration(4, 2, seed=1), 1
+    yield random_configuration(4, 3, seed=1), 1
+    yield random_configuration(3, 5, seed=1), 2
+    yield random_configuration(4, 9, seed=1), 2
+
+
+def test_symbolic_square_closed_form_matches_gradient_rank():
+    # where condition 2 holds, symbolic_square_dim(g, 2d) is dim H_{n,2d}
+    # - n|Gamma| without a rank; the exact gradient rank must agree there,
+    # and everywhere else, where the certified rank is used
+    held = failed = 0
+    for g, d in closed_form_sets():
+        m = _gradient_matrix(g, 2 * d)
+        assert symbolic_square_dim(g, 2 * d) == m.cols - rank(m), (g, d)
+        if condition2_holds(g, d):
+            held += 1
+        else:
+            failed += 1
+    assert held >= 100 and failed >= 50
+
+
+@pytest.mark.parametrize(
+    "g, d",
+    [
+        pytest.param(random_configuration(3, 5, seed=2), 2, id="random-3-5-2"),
+        pytest.param(random_configuration(4, 6, seed=2), 2, id="random-4-6-2"),
+        pytest.param(random_configuration(4, 7, seed=2), 2, id="random-4-7-2"),
+        pytest.param(random_configuration(3, 8, seed=2), 3, id="random-3-8-3"),
+        pytest.param(random_configuration(4, 3, seed=2), 3, id="random-4-3-3"),
+        pytest.param(DEPENDENT_SIX, 2, id="dependent-six"),
+        pytest.param(COLLINEAR_FIVE, 2, id="collinear-five"),
+        pytest.param(PointConfiguration(3, tuple((t * t, t, 1) for t in range(6))),
+                     2, id="conic-six"),
+        pytest.param(_distinct(4, product((0, 1), repeat=4)), 2, id="cube-vertices"),
+    ],
+)
+def test_vanishing_dim_above_regularity_index(g, d):
+    # the settle scan of is_d_independent bounds its ranks by dim H_{n,k}
+    # - |Gamma| at every k above the regularity index r
+    k_star = (g.n - 1) * (d - 1) + d
+    r = _regularity_index(g, k_star + g.n)
+    assert r <= k_star + g.n
+    for k in range(r + 1, k_star + g.n + 1):
+        assert vanishing_dim(g, k) == space_dim(g.n, k) - g.size
