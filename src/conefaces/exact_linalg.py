@@ -66,9 +66,14 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def _all_int(row):
+    """Whether every entry of row is a Python int; one C-level pass."""
+    return {int}.issuperset(map(type, row))
+
+
 def _integer_row(row):
     """The primitive integer vector on the line through a rational row."""
-    if not all(type(x) is int for x in row):
+    if not _all_int(row):
         # int() also turns gmpy2 numerators and denominators into Python ints
         den = math.lcm(*(int(x.denominator) for x in row))
         row = [int(x.numerator) * (den // int(x.denominator)) for x in row]
@@ -164,8 +169,7 @@ def meets_bound(m: Matrix, bound: int) -> bool:
     to bound proves the rank is bound.  False means the rank is below the
     bound, or the prime divides a minor.
     """
-    rows = [r if all(type(x) is int for x in r) else _integer_row(r)
-            for r in m.entries]
+    rows = [r if _all_int(r) else _integer_row(r) for r in m.entries]
     return _rank_mod_p(rows, m.cols, bound) == bound
 
 
