@@ -6,7 +6,6 @@ from .rational import Rat, rat, rat_str
 from .exact_linalg import (
     Matrix,
     Subspace,
-    contains,
     nullspace,
     rank,
     span,
@@ -27,9 +26,7 @@ from .ideal_components import (
     PointConfiguration,
     alpha,
     face_report,
-    ordinary_square_component,
     ordinary_square_dim,
-    symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,
     vanishing_dim,
@@ -58,7 +55,6 @@ from .certificates import (
     Certificate,
     build_certificate,
     check_double_vanishing,
-    epsilon_search,
     numeric_min_on_sphere,
     roundness_at,
 )

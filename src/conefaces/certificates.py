@@ -3,8 +3,8 @@
 A certificate packages p = sum(Q_i^2) + eps*R together with two kinds of
 evidence that must never be conflated: exact linear algebra showing p is
 not a sum of squares (p double-vanishes on Gamma yet lies outside the
-degree-2d ordinary square, which contains every SOS form vanishing on
-Gamma), and a purely numeric, sampled lower bound supporting
+degree-2d ordinary square, where every SOS form vanishing on Gamma
+lies), and a purely numeric, sampled lower bound supporting
 nonnegativity.  The numeric part is evidence, never proof.
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .exact_linalg import Matrix, contains, nullspace
-from .ideal_components import PointConfiguration, ordinary_square_component
+from .exact_linalg import Matrix, nullspace
+from .ideal_components import PointConfiguration, in_ordinary_square
 from .polynomials import (
     Form,
     ProjectivePoint,
@@ -27,8 +27,6 @@ from .rational import Rat, ZERO, rat, rat_str
 
 # projected gradient steps from each sample toward a local minimum
 REFINE_STEPS = 200
-# a sampled minimum at or above -NONNEGATIVE_TOLERANCE reads as nonnegative
-NONNEGATIVE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,11 +35,17 @@ class Certificate:
     gamma: PointConfiguration
     epsilon: "Rat"
     vanishes_order2: bool
-    in_symbolic: bool
     in_ordinary_square: bool
     roundness: tuple  # per-point booleans for the SOS part
     numeric_min: float | None = None
     numeric_argmin: tuple | None = None
+
+    @property
+    def in_symbolic(self) -> bool:
+        """Whether p lies in the symbolic square: the gradient rows at the
+        points cut it out, the conditions check_double_vanishing tests, so
+        this is vanishes_order2."""
+        return self.vanishes_order2
 
     @property
     def not_sos(self) -> bool:
@@ -143,18 +147,12 @@ def build_certificate(Qs, R: Form, epsilon, gamma: PointConfiguration,
         raise ValueError("R must have degree twice the squared forms")
     base = sos_part(Qs)
     p = base + R.scale(epsilon)
-
-    # the symbolic square is cut out by the gradient rows at the points,
-    # the conditions check_double_vanishing tests, so p lies in it exactly
-    # when it double-vanishes
-    double = check_double_vanishing(p, gamma)
     cert = Certificate(
         p=p,
         gamma=gamma,
         epsilon=epsilon,
-        vanishes_order2=double,
-        in_symbolic=double,
-        in_ordinary_square=contains(ordinary_square_component(gamma, 2 * d), p.coeffs),
+        vanishes_order2=check_double_vanishing(p, gamma),
+        in_ordinary_square=in_ordinary_square(gamma, 2 * d, p.coeffs),
         roundness=tuple(roundness_at(base, s) for s in gamma.points),
     )
     if samples > 0:
@@ -235,27 +233,3 @@ def numeric_min_on_sphere(p: Form, samples: int, seed: int = 0):
         step[~better] *= 0.5
     best = int(np.argmin(f))
     return float(f[best]), tuple(float(c) for c in x[best])
-
-
-EPSILON_GRID = [Rat(2) ** k if k >= 0 else Rat(1) / (2 ** -k) for k in range(5, -21, -1)]
-
-
-def epsilon_search(Qs, R: Form, gamma: PointConfiguration, seed: int = 0,
-                   samples: int = 2000):
-    """Largest dyadic eps whose certificate samples as nonnegative.
-
-    The result means "numerically nonnegative up to sampling" and nothing
-    stronger.  Requires the SOS part to be round at every point of Gamma.
-    """
-    base = sos_part(Qs)
-    for s in gamma.points:
-        if not roundness_at(base, s):
-            raise ValueError(f"SOS part is not round at {s.coords}")
-    if R.is_zero():
-        return EPSILON_GRID[0]
-    for eps in EPSILON_GRID:
-        p = base + R.scale(eps)
-        value, _ = numeric_min_on_sphere(p, samples, seed=seed)
-        if value >= -NONNEGATIVE_TOLERANCE:
-            return eps
-    raise ValueError("no epsilon on the grid yields a numerically nonnegative form")

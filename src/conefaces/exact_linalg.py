@@ -1,7 +1,7 @@
 """Exact rational dense linear algebra.
 
-Rank, nullspace, span, membership and inverse over Q: the kernel every
-dimension computation in the library reduces to.  _echelon is its one
+Rank, nullspace, span and inverse over Q: the kernel every dimension
+computation in the library reduces to.  _echelon is its one
 elimination, and it runs on integers.  Each row is scaled to a primitive
 integer vector; a row is cleared at a pivot column by (p/g)·row - (x/g)·pivot
 row, with g = gcd(p, x), and divided by its content.  A subspace is stored
@@ -17,6 +17,8 @@ word-size prime; the modular rank never exceeds the rank over Q, so when
 it meets the bound it is the exact rank, and otherwise exact elimination
 decides.  A caller that needs only to know whether the rank meets its
 bound asks meets_bound, the modular check alone, which never eliminates.
+Membership of a vector in a row space is such a rank: appending one row
+raises the rank by at most one.
 """
 
 from __future__ import annotations
@@ -74,9 +76,8 @@ def _all_int(row):
 def _integer_row(row):
     """The primitive integer vector on the line through a rational row."""
     if not _all_int(row):
-        # int() also turns gmpy2 numerators and denominators into Python ints
-        den = math.lcm(*(int(x.denominator) for x in row))
-        row = [int(x.numerator) * (den // int(x.denominator)) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
     return _primitive(row)
 
 
@@ -211,13 +212,10 @@ class Subspace:
         return [_rational_row(row) for row in self.basis.entries]
 
 
-def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
+def span(vectors, ambient_dim: int) -> Subspace:
     """RREF span of a collection of coefficient vectors, by exact elimination.
 
-    max_dim is an optional rank cap known to the caller (e.g. the dimension
-    of an enclosing subspace all vectors belong to); elimination stops once
-    it is reached, which does not change the resulting subspace.  A caller
-    that needs only the dimension should use rank with that cap as bound.
+    A caller that needs only the dimension should use rank instead.
     """
     vectors = list(vectors)
     for v in vectors:
@@ -225,7 +223,7 @@ def span(vectors, ambient_dim: int, max_dim=None) -> Subspace:
             raise ValueError(
                 f"vector of length {len(v)} in ambient dimension {ambient_dim}"
             )
-    reduced = [row for _, row in _back_substitute(_echelon(vectors, max_rank=max_dim))]
+    reduced = [row for _, row in _back_substitute(_echelon(vectors))]
     return Subspace(ambient_dim, Matrix(len(reduced), ambient_dim, tuple(reduced)))
 
 
@@ -259,14 +257,6 @@ def nullspace(m: Matrix) -> Subspace:
             v[col] = -x * (lcm // p)
         basis.append(tuple(_primitive(v)))
     return Subspace(m.cols, Matrix(len(basis), m.cols, tuple(basis)))
-
-
-def contains(s: Subspace, v) -> bool:
-    """Exact membership of a coefficient vector in a subspace."""
-    v = [rat(x) for x in v]
-    if len(v) != s.ambient_dim:
-        raise ValueError("vector length disagrees with ambient dimension")
-    return len(_echelon([*s.basis.entries, v])) == s.dim
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -8,8 +8,9 @@ The ordinary square is spanned by products I_a * I_b with a + b = e.
 Because I(Gamma) is generated in degrees <= r + 1, r the regularity index,
 only the splits with b between ceil(e/2) and max(ceil(e/2), r + 1) are
 needed: at e = 2d with r < d, just I_d * I_d.  The rank of those products
-is certified against their row count or dim I^(2)_e, whichever is less,
-and a basis is their span.
+is certified against their row count or dim I^(2)_e, whichever is less.
+A form lies in the ordinary square exactly when its row, appended to the
+products, leaves that rank unchanged; no basis of the square is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exact_linalg import Matrix, Subspace, nullspace, rank, span
+from .exact_linalg import Matrix, Subspace, nullspace, rank
 from .polynomials import ProjectivePoint, derivative_rows, product_rows, space_dim
 from .rational import rat
 
@@ -104,16 +105,6 @@ def _evaluation_matrix(g: PointConfiguration, d: int) -> Matrix:
     return Matrix(len(rows), space_dim(g.n, d), tuple(rows))
 
 
-def symbolic_square_component(g: PointConfiguration, e: int) -> Subspace:
-    """Degree-e part of the second symbolic power: all gradients vanish on Gamma.
-
-    Only gradient rows are used: for a homogeneous form of positive degree,
-    vanishing at s follows from the gradient vanishing there by Euler's
-    identity, so evaluation rows would be redundant.
-    """
-    return nullspace(_gradient_matrix(g, e))
-
-
 @lru_cache(maxsize=512)
 def symbolic_square_dim(g: PointConfiguration, e: int) -> int:
     """dim of the degree-e symbolic square without materializing a basis.
@@ -143,7 +134,12 @@ def symbolic_square_dim(g: PointConfiguration, e: int) -> int:
 
 
 def _gradient_matrix(g: PointConfiguration, e: int) -> Matrix:
-    """The n integer gradient rows of degree-e monomials at each point of Gamma."""
+    """The n integer gradient rows of degree-e monomials at each point of Gamma.
+
+    Their kernel is the degree-e symbolic square: for a homogeneous form of
+    positive degree, vanishing at s follows from the gradient vanishing
+    there by Euler's identity, so evaluation rows would be redundant.
+    """
     if e < 2:
         raise ValueError("degree must be at least 2")
     rows = [row for p in g.points for row in derivative_rows(p.integer_coords, e, 1)]
@@ -191,11 +187,19 @@ def _ordinary_square(g: PointConfiguration, e: int):
     return m, rank(m, bound=min(m.rows, symbolic_square_dim(g, e)))
 
 
-def ordinary_square_component(g: PointConfiguration, e: int) -> Subspace:
-    """Degree-e part of I(Gamma)^2: the span of _square_matrix, whose
-    elimination stops at the certified rank."""
+def in_ordinary_square(g: PointConfiguration, e: int, coeffs) -> bool:
+    """Whether the degree-e form with these coefficients lies in I(Gamma)^2.
+
+    Its row appended to _square_matrix raises the rank dim by at most one,
+    so dim + 1 is a proven bound on the grown rank.  Where the modular rank
+    meets it, the form is certified outside; otherwise exact elimination
+    decides.
+    """
     m, dim = _ordinary_square(g, e)
-    return span(m.entries, m.cols, max_dim=dim)
+    if len(coeffs) != m.cols:
+        raise ValueError("coefficient count disagrees with the degree")
+    grown = Matrix(m.rows + 1, m.cols, (*m.entries, tuple(coeffs)))
+    return rank(grown, bound=dim + 1) == dim
 
 
 def ordinary_square_dim(g: PointConfiguration, e: int) -> int:

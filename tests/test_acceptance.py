@@ -21,13 +21,13 @@ from conefaces.constructions import (
     snd_basis,
     snd_points,
 )
-from conefaces.exact_linalg import Matrix, contains, nullspace, rank, span
+from conefaces.exact_linalg import Matrix, nullspace, rank, span
 from conefaces.gap_analysis import max_gap, min_k_positive, naive_gap, ternary_prediction
 from conefaces.ideal_components import (
     PointConfiguration,
+    _gradient_matrix,
+    _square_matrix,
     face_report,
-    ordinary_square_component,
-    symbolic_square_component,
     vanishing_component,
 )
 from conefaces.independence import is_d_independent
@@ -169,9 +169,10 @@ def test_criterion_6_six_point_certificate():
         }
         assert {q.normalized() for q in scheme.Q} == expected_q
         assert scheme.R.normalized() == Form.from_terms(4, 4, {(1, 1, 1, 1): 1})
-        assert not contains(
-            ordinary_square_component(EXAMPLE_SIX_POINTS, 4), scheme.R.coeffs
-        )
+        # R's row raises the rank of the rows spanning I^2_4
+        square = _square_matrix(EXAMPLE_SIX_POINTS, 4)
+        grown = Matrix.from_rows([*square.entries, scheme.R.coeffs], cols=square.cols)
+        assert rank(grown) == rank(square) + 1
         cert = build_certificate(
             list(scheme.Q), scheme.R, 1, scheme.gamma, samples=10_000, seed=0
         )
@@ -282,11 +283,11 @@ def test_criterion_9_property_suite():
         for i in range(100):
             size = rng.randint(1, 5)
             g = random_configuration(3, size, seed=10_000 + i)
-            ordi = ordinary_square_component(g, 4)
-            sym = symbolic_square_component(g, 4)
-            for v in ordi.basis.entries:
-                assert contains(sym, v)
-            assert sym.dim >= space_dim(3, 4) - 3 * g.size
+            gradients = _gradient_matrix(g, 4)
+            for v in _square_matrix(g, 4).entries:
+                assert not any(sum(a * b for a, b in zip(row, v))
+                               for row in gradients.entries)
+            assert nullspace(gradients).dim >= space_dim(3, 4) - 3 * g.size
 
         # scale and permutation invariance of the face report
         for i in range(100):

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 import conefaces
 from conefaces.certificates import (
-    EPSILON_GRID,
     _positive_definite,
     build_certificate,
     check_double_vanishing,
-    epsilon_search,
     numeric_min_on_sphere,
     roundness_at,
     sos_part,
@@ -26,9 +24,7 @@ from conefaces.constructions import (
     seven_point_scheme,
     six_point_scheme,
 )
-from conefaces.ideal_components import PointConfiguration
 from conefaces.polynomials import Form, ProjectivePoint
-from conefaces.rational import rat
 
 
 @pytest.fixture(scope="module")
@@ -144,31 +140,6 @@ def test_numeric_min_finds_negative_values():
     value, argmin = numeric_min_on_sphere(p, 500, seed=1)
     assert value < -0.4
     assert abs(sum(c * c for c in argmin) - 1.0) < 1e-9
-
-
-def test_epsilon_grid_shape():
-    assert EPSILON_GRID[0] == rat(32)
-    assert EPSILON_GRID[-1] == rat(1) / (2 ** 20)
-    assert all(a > b for a, b in zip(EPSILON_GRID, EPSILON_GRID[1:]))
-
-
-def test_epsilon_search_six(six):
-    eps = epsilon_search(list(six.Q), six.R, six.gamma, samples=500)
-    assert eps >= 1
-
-
-def test_epsilon_search_zero_r(six):
-    eps = epsilon_search(
-        list(six.Q), six.R.scale(0), six.gamma, samples=10
-    )
-    assert eps == EPSILON_GRID[0]
-
-
-def test_epsilon_search_requires_roundness():
-    g = PointConfiguration(2, ((1, 0),))
-    flat = Form(2, 2, (0, 0, 0))  # zero SOS part: Hessian degenerate everywhere
-    with pytest.raises(ValueError):
-        epsilon_search([flat], Form(2, 4, (0,) * 5), g)
 
 
 def test_import_does_not_load_numpy():

@@ -78,11 +78,12 @@ def test_certify(capsys):
 
 
 def test_certify_epsilon_zero_is_sos(capsys):
-    code, data = run(
-        capsys, "certify", "--case", "44", "--epsilon", "0", "--samples", "0"
-    )
-    assert code == 1
-    assert data["not_sos_proof"]["in_ordinary_square"]
+    for case in ("44", "36"):
+        code, data = run(
+            capsys, "certify", "--case", case, "--epsilon", "0", "--samples", "0"
+        )
+        assert code == 1
+        assert data["not_sos_proof"]["in_ordinary_square"]
 
 
 def test_certify_negative_epsilon(capsys):

@@ -16,7 +16,7 @@ from conefaces.gap_analysis import (
     naive_gap,
     ternary_prediction,
 )
-from conefaces.ideal_components import symbolic_square_dim
+from conefaces.ideal_components import face_report, symbolic_square_dim
 from conefaces.sampling import random_configuration
 
 
@@ -104,6 +104,35 @@ def test_ternary_prediction():
         ternary_prediction(2, 3)
     with pytest.raises(ValueError):
         ternary_prediction(3, 0)
+
+
+def test_gap_at_least_naive_bound_on_independent_sets():
+    # on a d-independent set dim I^(2)_2d = dim H_{n,2d} - n|Gamma| and
+    # I^2_2d is spanned by the products of I_d, at most
+    # binomial(dim I_d + 1, 2) of them, so the gap is at least naive_gap
+    for n, d in ((3, 3), (3, 4), (4, 2), (4, 3), (5, 2)):
+        for k in range(1, max_independent_size(n, d) + 1):
+            for seed in range(2):
+                g = random_configuration(n, k, seed=seed, d_independent=d)
+                assert face_report(g, d).gap >= naive_gap(n, 2 * d, k), (n, d, k, seed)
+
+
+def test_quaternary_quartic_gaps():
+    # generic sets in P^3 at d = 2: the gap is 0 up to five points and 1
+    # at six, the paper's smallest strict gap
+    assert [naive_gap(4, 4, k) for k in range(1, 7)] == [-14, -9, -5, -2, 0, 1]
+    for k in range(1, 7):
+        for seed in range(3):
+            g = random_configuration(4, k, seed=seed, glp=True, d_independent=2)
+            assert face_report(g, 2).gap == (1 if k == 6 else 0), (k, seed)
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_ternary_prediction_matches_exact_gaps(d):
+    # criterion 3 covers d = 3, 4; every admissible |Gamma| here
+    for k in range(1, max_independent_size(3, d) + 1):
+        g = random_configuration(3, k, seed=k, d_independent=d)
+        assert face_report(g, d).gap == ternary_prediction(d, k)["predicted_gap"], k
 
 
 def test_gap_profile():

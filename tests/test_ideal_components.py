@@ -7,18 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conefaces import exact_linalg
-from conefaces.constructions import EXAMPLE_SIX_POINTS, SEVEN_POINTS_PERTURBED
-from conefaces.exact_linalg import Matrix, contains, rank, span
+from conefaces.certificates import sos_part
+from conefaces.constructions import (
+    EXAMPLE_SIX_POINTS,
+    SEVEN_POINTS_PERTURBED,
+    six_point_scheme,
+)
+from conefaces.exact_linalg import Matrix, nullspace, rank, span
 from conefaces.gap_analysis import ternary_prediction
 from conefaces.ideal_components import (
     FaceReport,
     PointConfiguration,
+    _gradient_matrix,
     _regularity_index,
+    _square_matrix,
     alpha,
     face_report,
-    ordinary_square_component,
+    in_ordinary_square,
     ordinary_square_dim,
-    symbolic_square_component,
     symbolic_square_dim,
     vanishing_component,
     vanishing_dim,
@@ -63,6 +69,17 @@ SPACE_LINE = on_curve(4, lambda t: (1 + t, 2 - 3 * t, t, 4 + t), 5)
 PLANE_CONIC = on_curve(3, lambda t: (t * t + t + 1, 2 * t * t - 1, t * t - 3 * t), 7)
 
 
+def symbolic_square_basis(g, e):
+    """I^(2)_e as the kernel of the gradient rows at the points."""
+    return nullspace(_gradient_matrix(g, e))
+
+
+def ordinary_square_basis(g, e):
+    """I^2_e as the span of the product rows."""
+    m = _square_matrix(g, e)
+    return span(m.entries, m.cols)
+
+
 def test_point_configuration_validation():
     with pytest.raises(ValueError):
         PointConfiguration(3, ())
@@ -94,7 +111,7 @@ def test_vanishing_component_single_point():
 
 def test_symbolic_square_single_point():
     g = PointConfiguration(3, ((1, 1, 1),))
-    s = symbolic_square_component(g, 4)
+    s = symbolic_square_basis(g, 4)
     assert s.dim == space_dim(3, 4) - 3
     for f in [Form(3, 4, row) for row in s.basis.entries]:
         assert not any(gradient_eval(f, g.points[0]))
@@ -106,7 +123,7 @@ def test_components_vanish_at_given_coordinates(g):
     # the kernels come from integer rescalings of the points; check them
     # against the rational coordinates as given
     v = vanishing_component(g, 2)
-    s = symbolic_square_component(g, 4)
+    s = symbolic_square_basis(g, 4)
     for f in [Form(3, 2, row) for row in v.basis.entries]:
         assert all(evaluate(f, p) == 0 for p in g.points)
     for f in [Form(3, 4, row) for row in s.basis.entries]:
@@ -131,28 +148,27 @@ def test_ordinary_square_uses_all_splits():
     # products must lie in their span
     g = PointConfiguration(3, ((1, 0, 0), (0, 1, 0)))
     assert alpha(g) == 1
-    ordi = ordinary_square_component(g, 4)
     lin = Form(3, 1, vanishing_component(g, 1).basis.entries[0])
     cubics = [Form(3, 3, row) for row in vanishing_component(g, 3).basis.entries]
     for c in cubics:
-        assert contains(ordi, multiply(lin, c).coeffs)
+        assert in_ordinary_square(g, 4, multiply(lin, c).coeffs)
 
 
 @given(configurations(3, 5))
 @settings(max_examples=120, deadline=None)
 def test_containment_ordinary_in_symbolic(g):
-    ordi = ordinary_square_component(g, 4)
-    sym = symbolic_square_component(g, 4)
-    assert ordi.dim <= sym.dim
-    for v in ordi.basis.entries:
-        assert contains(sym, v)
+    # every product row has zero gradient at every point
+    gradients = _gradient_matrix(g, 4).entries
+    for v in _square_matrix(g, 4).entries:
+        assert not any(sum(a * b for a, b in zip(row, v)) for row in gradients)
+    assert ordinary_square_dim(g, 4) <= symbolic_square_dim(g, 4)
 
 
 @given(configurations(3, 5))
 @settings(max_examples=120, deadline=None)
 def test_symbolic_lower_bound(g):
     # each double zero imposes at most n linear conditions
-    sym = symbolic_square_component(g, 4)
+    sym = symbolic_square_basis(g, 4)
     assert sym.dim >= space_dim(3, 4) - 3 * g.size
 
 
@@ -160,8 +176,8 @@ def test_symbolic_lower_bound(g):
 @settings(max_examples=80, deadline=None)
 def test_certified_dims_match_bases(g):
     assert vanishing_dim(g, 2) == vanishing_component(g, 2).dim
-    assert symbolic_square_dim(g, 4) == symbolic_square_component(g, 4).dim
-    assert ordinary_square_dim(g, 4) == ordinary_square_component(g, 4).dim
+    assert symbolic_square_dim(g, 4) == symbolic_square_basis(g, 4).dim
+    assert ordinary_square_dim(g, 4) == ordinary_square_basis(g, 4).dim
 
 
 def all_splits_span(g, e):
@@ -183,7 +199,7 @@ def all_splits_span(g, e):
 )
 @settings(max_examples=80, deadline=None)
 def test_ordinary_square_matches_all_splits_plane(g, e):
-    square = ordinary_square_component(g, e)
+    square = ordinary_square_basis(g, e)
     assert square == all_splits_span(g, e)
     assert ordinary_square_dim(g, e) == square.dim
 
@@ -194,7 +210,7 @@ def test_ordinary_square_matches_all_splits_plane(g, e):
 )
 @settings(max_examples=15, deadline=None)
 def test_ordinary_square_matches_all_splits_space(g, e):
-    square = ordinary_square_component(g, e)
+    square = ordinary_square_basis(g, e)
     assert square == all_splits_span(g, e)
     assert ordinary_square_dim(g, e) == square.dim
 
@@ -250,8 +266,46 @@ def test_ordinary_square_rank_falls_back_where_bound_cannot_be_met():
     bound = symbolic_square_dim(EXAMPLE_SIX_POINTS, 4)
     assert bound == 11
     assert rank(products, bound=bound) == rank(products) == 10
-    assert ordinary_square_component(EXAMPLE_SIX_POINTS, 4).dim == 10
+    assert ordinary_square_basis(EXAMPLE_SIX_POINTS, 4).dim == 10
     assert ordinary_square_dim(EXAMPLE_SIX_POINTS, 4) == 10
+
+
+# PRIME = 2 makes most modular ranks miss their bound, so exact elimination
+# decides; the verdicts must not change
+PRIMES = [exact_linalg.PRIME, 2]
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+@given(configurations(3, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_in_ordinary_square_matches_exact_membership(prime, g, data):
+    m = _square_matrix(g, 4)
+    square = span(m.entries, m.cols)
+    small = st.integers(min_value=-3, max_value=3)
+    coeffs = data.draw(st.lists(small, min_size=m.rows, max_size=m.rows))
+    inside = [sum(c * row[j] for c, row in zip(coeffs, m.entries))
+              for j in range(m.cols)]
+    other = data.draw(st.lists(
+        st.one_of(small, st.fractions(-3, 3, max_denominator=5)),
+        min_size=m.cols, max_size=m.cols,
+    ))
+    member = span([*square.basis.entries, other], m.cols) == square
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "PRIME", prime)
+        assert in_ordinary_square(g, 4, inside)
+        assert in_ordinary_square(g, 4, other) == member
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_in_ordinary_square_six_point_form(monkeypatch, prime):
+    # R = x1 x2 x3 x4 double-vanishes on the six points without lying in
+    # I^2_4; the SOS part does lie in it
+    monkeypatch.setattr(exact_linalg, "PRIME", prime)
+    scheme = six_point_scheme(EXAMPLE_SIX_POINTS)
+    assert not in_ordinary_square(EXAMPLE_SIX_POINTS, 4, scheme.R.coeffs)
+    assert in_ordinary_square(EXAMPLE_SIX_POINTS, 4, sos_part(scheme.Q).coeffs)
+    with pytest.raises(ValueError):
+        in_ordinary_square(EXAMPLE_SIX_POINTS, 4, scheme.Q[0].coeffs)
 
 
 def test_face_report_without_the_window():
