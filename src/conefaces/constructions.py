@@ -8,11 +8,10 @@ candidate forms that separate the symbolic square from the ordinary one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .exact_linalg import Matrix, inverse, nullspace, span
-from .ideal_components import PointConfiguration, vanishing_component
+from .exact_linalg import Matrix, nullspace, rank
+from .ideal_components import PointConfiguration
 from .independence import independence_verdict
 from .polynomials import (
     Form,
@@ -29,10 +28,6 @@ from .rational import ZERO, ONE, rat
 
 class GenericityError(ValueError):
     """A genericity guard failed; the caller should perturb the configuration."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
 
 
 # The quadruple covering of the six points: any two triples meet in one
@@ -91,10 +86,21 @@ def _kernel_vector(rows, ncols):
     return ns.basis_vectors()[0]
 
 
-def _dual_columns(vectors):
-    """Columns of the inverse of the matrix with the given rows."""
-    inv = inverse(Matrix.from_rows(vectors))
-    return [tuple(inv.entries[i][j] for i in range(inv.rows)) for j in range(inv.cols)]
+def _dual_vectors(vectors):
+    """For each j, a vector orthogonal to every given row but the j-th.
+
+    Each is column j of M⁻¹, M the matrix with these rows, up to a nonzero
+    scale; the callers only test values at it for zero, which no scale
+    changes.
+    """
+    n = len(vectors)
+    # exact elimination: at this size it is cheaper than a modular rank,
+    # and it keeps numpy out of a process that builds only this scheme
+    if rank(Matrix(n, n, tuple(vectors))) != n:
+        raise GenericityError("matrix is singular")
+    return tuple(
+        tuple(_kernel_vector(vectors[:j] + vectors[j + 1:], n)) for j in range(n)
+    )
 
 
 def _inner(u, v):
@@ -115,8 +121,6 @@ class SixPointScheme:
     triples: tuple
     u: tuple
     v: tuple
-    u_dual: tuple
-    v_dual: tuple
     Q: tuple
     R: Form
 
@@ -150,16 +154,16 @@ def six_point_scheme(g: PointConfiguration) -> SixPointScheme:
 
     u = tuple(tuple(normal(t)) for t in DEFAULT_TRIPLES)
     v = tuple(tuple(normal(t)) for t in complements)
-    u_dual = tuple(_dual_columns(u))
-    v_dual = tuple(_dual_columns(v))
+    u_dual = _dual_vectors(u)
+    v_dual = _dual_vectors(v)
 
     # under general linear position these 32 inner products are all nonzero
     for i in range(4):
         for j in range(4):
             if not _inner(u[i], v_dual[j]):
-                raise GenericityError(f"<u{i + 1}, v{j + 1}*> = 0", pair=(i, j))
+                raise GenericityError(f"<u{i + 1}, v{j + 1}*> = 0")
             if not _inner(v[i], u_dual[j]):
-                raise GenericityError(f"<v{i + 1}, u{j + 1}*> = 0", pair=(i, j))
+                raise GenericityError(f"<v{i + 1}, u{j + 1}*> = 0")
 
     Q = tuple(
         multiply(linear_form(u[i]), linear_form(v[i])).normalized() for i in range(4)
@@ -169,8 +173,7 @@ def six_point_scheme(g: PointConfiguration) -> SixPointScheme:
         R = multiply(R, linear_form(u[i]))
     R = R.normalized()
     return SixPointScheme(
-        gamma=g, triples=DEFAULT_TRIPLES, u=u, v=v, u_dual=u_dual, v_dual=v_dual,
-        Q=Q, R=R,
+        gamma=g, triples=DEFAULT_TRIPLES, u=u, v=v, Q=Q, R=R
     )
 
 
@@ -181,7 +184,6 @@ class SevenPointScheme:
 
     gamma: PointConfiguration
     u: tuple
-    u_dual: tuple
     K_conics: tuple
     K: Form
     Q: tuple
@@ -215,7 +217,7 @@ def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
         )
 
     u = (line_normal(1, 2), line_normal(3, 4), line_normal(5, 6))
-    u_dual = tuple(_dual_columns(u))
+    u_dual = _dual_vectors(u)
 
     def rows_at(i, d, order):
         return derivative_rows(g.points[i - 1].integer_coords, d, order)
@@ -231,7 +233,7 @@ def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
     K = Form(3, 3, tuple(_kernel_vector(rows, space_dim(3, 3)))).normalized()
 
     # the conic guards are essential: a vanishing value breaks the basis
-    # argument, so the failing pair is reported for the caller to perturb.
+    # argument, so the failing pairs are named for the caller to perturb.
     # No guard is placed on K itself: when K factors through one of the
     # line forms it vanishes at a dual point by construction, yet the
     # product form below still double-vanishes there through the other
@@ -244,32 +246,22 @@ def seven_point_scheme(g: PointConfiguration) -> SevenPointScheme:
     ]
     if failing:
         named = ", ".join(f"K{i + 1}(u{j + 1}*) = 0" for i, j in failing)
-        raise GenericityError(named, pair=failing[0])
+        raise GenericityError(named)
 
-    i3 = vanishing_component(g, 3)
-
-    def cubic(line_idx, conic_idx):
-        return multiply(linear_form(u[line_idx]), conics[conic_idx]).normalized()
-
-    Q = [cubic(0, 0), cubic(1, 1), cubic(2, 2)]
-    # subspaces are equal iff their canonical RREF bases are
-    if span([q.coeffs for q in Q], space_dim(3, 3)) != i3:
-        # symmetric pairing failed; fall back to pairing the third conic
-        # with the first line, which is the only other candidate
-        warnings.warn(
-            "pairing the third conic with the third line does not give a basis; "
-            "falling back to the first line"
-        )
-        Q[2] = cubic(0, 2)
-        if span([q.coeffs for q in Q], space_dim(3, 3)) != i3:
-            raise GenericityError("no candidate cubic triple spans I_3")
+    # Q_i = u_i·K_i vanishes on all seven points: u_i on the two points its
+    # line passes through, K_i on the other five.  The points are
+    # 3-independent, so dim I_3 = 10 - 7 = 3, and the Q_i span I_3 exactly
+    # when they are independent.
+    Q = tuple(multiply(linear_form(u[i]), conics[i]).normalized() for i in range(3))
+    if rank(Matrix(3, space_dim(3, 3), tuple(q.coeffs for q in Q))) != 3:
+        raise GenericityError("the cubics u_i·K_i do not span I_3")
 
     R = K
     for vec in u:
         R = multiply(R, linear_form(vec))
     R = R.normalized()
     return SevenPointScheme(
-        gamma=g, u=u, u_dual=u_dual, K_conics=conics, K=K, Q=tuple(Q), R=R
+        gamma=g, u=u, K_conics=conics, K=K, Q=Q, R=R
     )
 
 

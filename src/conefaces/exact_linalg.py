@@ -1,16 +1,16 @@
 """Exact rational dense linear algebra.
 
-Rank, nullspace, span and inverse over Q: the kernel every dimension
-computation in the library reduces to.  _echelon is its one
-elimination, and it runs on integers.  Each row is scaled to a primitive
-integer vector; a row is cleared at a pivot column by (p/g)·row - (x/g)·pivot
-row, with g = gcd(p, x), and divided by its content.  A subspace is stored
-as its integer RREF: each rational RREF row scaled to its primitive integer
+Rank, nullspace and span over Q: the kernel every dimension computation
+in the library reduces to.  _echelon is its one elimination, and it runs
+on integers.  Each row is scaled to a primitive integer vector; a row is
+cleared at a pivot column by (p/g)·row - (x/g)·pivot row, with
+g = gcd(p, x), and divided by its content.  A subspace is stored as its
+integer RREF: each rational RREF row scaled to its primitive integer
 multiple with a positive pivot entry.  That form is canonical, so subspace
 equality is a structural comparison.  Rationals appear only where a caller
-reads them: Subspace.basis_vectors divides each row by its pivot entry, and
-so does inverse.  Pivoting picks the first nonzero entry per column; exact
-arithmetic needs no magnitude pivoting.
+reads them: Subspace.basis_vectors divides each row by its pivot entry.
+Pivoting picks the first nonzero entry per column; exact arithmetic needs
+no magnitude pivoting.
 
 A rank whose caller knows a proven upper bound is first taken modulo a
 word-size prime; the modular rank never exceeds the rank over Q, so when
@@ -257,18 +257,3 @@ def nullspace(m: Matrix) -> Subspace:
             v[col] = -x * (lcm // p)
         basis.append(tuple(_primitive(v)))
     return Subspace(m.cols, Matrix(len(basis), m.cols, tuple(basis)))
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix, via RREF of [m | I]."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    augmented = [[*row, *(int(j == i) for j in range(n))]
-                 for i, row in enumerate(m.entries)]
-    pivots = _echelon(augmented)
-    if len(pivots) != n or any(col >= n for col, _ in pivots):
-        raise ValueError("matrix is singular")
-    reduced = [_rational_row(row)[n:] for _, row in _back_substitute(pivots)]
-    return Matrix.from_rows(reduced, cols=n)
-

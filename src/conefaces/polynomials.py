@@ -113,9 +113,6 @@ class Form:
             coeffs[index[exp]] = coeffs[index[exp]] + rat(c)
         return cls(n, degree, tuple(coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def terms(self):
         basis = monomial_basis(self.n, self.degree)
         return {exp: c for exp, c in zip(basis, self.coeffs) if c}

@@ -2,8 +2,8 @@
 
 Rat, fractions.Fraction, stores coordinates and coefficients.  Elimination
 and subspace bases are Python ints (see exact_linalg); rationals come back
-only where Subspace.basis_vectors or inverse divide a reduced row by its
-pivot, and no float enters a rank decision.
+only where Subspace.basis_vectors divides a reduced row by its pivot, and
+no float enters a rank decision.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ import json
 import pytest
 
 from conefaces.cli import main
+from conefaces.constructions import (
+    GenericityError,
+    seven_point_scheme,
+    six_point_scheme,
+)
 from conefaces.ideal_components import PointConfiguration
 
 
@@ -186,6 +191,32 @@ def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--help"])
     assert exc.value.code == 0
+
+
+def test_singular_normals_exit_code(tmp_path, capsys):
+    # 3-independent, but the lines through points 1, 2 / 3, 4 / 5, 6 meet
+    # in one point, so their normals are dependent
+    seven = PointConfiguration(3, (
+        (0, -1, -1), (-1, 1, 1), (2, 0, -1), (-1, 0, -1), (-2, -1, 0),
+        (0, 1, 0), (-1, 1, 0),
+    ))
+    # the normals of the four covering triples are dependent
+    six = PointConfiguration(4, (
+        (-2, 0, 0, 2), (0, -2, 0, 2), (0, -1, -2, 1), (0, -1, 2, -2),
+        (0, 1, 0, 0), (0, 2, 2, 2),
+    ))
+    for g, build, argv in (
+        (seven, seven_point_scheme, ["construct", "seven3"]),
+        (six, six_point_scheme, ["certify", "--case", "44"]),
+    ):
+        with pytest.raises(GenericityError, match="^matrix is singular$"):
+            build(g)
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(g.to_json()))
+        assert main([*argv, "--config", str(path)]) == 10, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix is singular\n"
 
 
 def test_unperturbed_guard_exit_code(tmp_path, capsys):

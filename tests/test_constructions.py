@@ -1,8 +1,13 @@
 """Partition point sets, the six-point scheme, and the seven-point scheme."""
 
+import hashlib
+import json
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conefaces.constructions import (
     DEFAULT_TRIPLES,
@@ -10,13 +15,18 @@ from conefaces.constructions import (
     SEVEN_POINTS_PERTURBED,
     SEVEN_POINTS_UNPERTURBED,
     GenericityError,
+    _dual_vectors,
     seven_point_scheme,
     six_point_scheme,
     snd_basis,
     snd_points,
 )
-from conefaces.exact_linalg import Matrix, rank, span
-from conefaces.ideal_components import _square_matrix, vanishing_component
+from conefaces.exact_linalg import PRIME, Matrix, rank, span
+from conefaces.ideal_components import (
+    PointConfiguration,
+    _square_matrix,
+    vanishing_component,
+)
 from conefaces.polynomials import (
     Form,
     ProjectivePoint,
@@ -134,8 +144,6 @@ def test_seven_point_scheme_unperturbed_guard():
 
 
 def test_seven_point_scheme_rejects_bad_input():
-    from conefaces.ideal_components import PointConfiguration
-
     with pytest.raises(ValueError):
         seven_point_scheme(random_configuration(3, 6, seed=0))
     # six of the seven on a line: not 3-independent
@@ -155,8 +163,116 @@ def test_seven_point_scheme_rejects_bad_input():
         seven_point_scheme(bad)
 
 
+def laplace_det(rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+square_rows = st.sampled_from([3, 4]).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(-5, 5)] * n), min_size=n, max_size=n
+    ).map(tuple)
+)
+
+
+@given(square_rows)
+@settings(max_examples=200, deadline=None)
+def test_dual_vectors(rows):
+    if not laplace_det(rows):
+        with pytest.raises(GenericityError, match="^matrix is singular$"):
+            _dual_vectors(rows)
+        return
+    duals = _dual_vectors(rows)
+    assert len(duals) == len(rows)
+    for j, w in enumerate(duals):
+        assert any(w)
+        for i, row in enumerate(rows):
+            value = sum(a * b for a, b in zip(row, w))
+            assert (value != 0) == (i == j)
+
+
+def test_dual_vectors_rank_is_exact():
+    # det = PRIME: singular modulo the certifying prime, not over Q
+    rows = ((1, 1, 0), (1, PRIME + 1, 0), (0, 0, 1))
+    assert laplace_det(rows) == PRIME
+    assert len(_dual_vectors(rows)) == 3
+    with pytest.raises(GenericityError, match="^matrix is singular$"):
+        _dual_vectors(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+@given(square_rows)
+@settings(max_examples=50, deadline=None)
+def test_dual_vectors_parallel_to_inverse_columns(rows):
+    sympy = pytest.importorskip("sympy")
+    assume(laplace_det(rows))
+    inv = sympy.Matrix(rows).inv()
+    for j, w in enumerate(_dual_vectors(rows)):
+        col = [inv[i, j] for i in range(len(rows))]
+        w = [sympy.Rational(x.numerator, x.denominator) for x in w]
+        # every 2x2 minor of [w | col] vanishes
+        assert all(
+            w[a] * col[b] == w[b] * col[a]
+            for a in range(len(w))
+            for b in range(a + 1, len(w))
+        )
+
+
 def test_scheme_json():
     data = six_point_scheme(EXAMPLE_SIX_POINTS).to_json()
     assert set(data) == {"gamma", "triples", "u", "v", "Q", "R"}
     data = seven_point_scheme(SEVEN_POINTS_PERTURBED).to_json()
     assert set(data) == {"gamma", "u", "K_conics", "K", "Q", "R"}
+
+
+def draw_points(n, size, bound, seed):
+    """size distinct projective points in n variables, coordinates in
+    [-bound, bound], drawn from a seeded generator."""
+    rng = random.Random(f"{n}/{bound}/{seed}")
+    points, seen = [], set()
+    while len(points) < size:
+        coords = tuple(rng.randint(-bound, bound) for _ in range(n))
+        if any(coords):
+            key = ProjectivePoint(coords).canonical()
+            if key not in seen:
+                seen.add(key)
+                points.append(coords)
+    return PointConfiguration(n, tuple(points))
+
+
+# SHA-256 of every outcome of the corpus below: the scheme's JSON, or the
+# message of the ValueError a guard raised.  Any change to a scheme, a
+# guard or a guard's message changes it.
+OUTCOME_CORPUS_SHA256 = (
+    "d61e84a7a951aa36b8ac5ccb8958b3ed7227bc7598293d789f27d234f273f669"
+)
+
+
+def test_scheme_outcome_corpus():
+    digest = hashlib.sha256()
+    messages = set()
+    for build, n, size in ((six_point_scheme, 4, 6), (seven_point_scheme, 3, 7)):
+        for bound in (2, 3, 9):
+            for seed in range(50):
+                try:
+                    scheme = build(draw_points(n, size, bound, seed))
+                    out = json.dumps(scheme.to_json(), sort_keys=True)
+                except ValueError as exc:
+                    out = f"error: {exc}"
+                    messages.add(str(exc))
+                digest.update(out.encode() + b"\n")
+    # the corpus reaches every guard
+    for message in (
+        "<u1, v1*> = 0",
+        "K2(u3*) = 0, K3(u1*) = 0",
+        "matrix is singular",
+        "expected a one-dimensional kernel, got dimension 2",
+        "the seven points must be 3-independent",
+    ):
+        assert message in messages, message
+    assert digest.hexdigest() == OUTCOME_CORPUS_SHA256

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: rank, nullspace, span, inverse."""
+"""Exact linear algebra kernel: rank, nullspace, span."""
 
 import math
 from fractions import Fraction
@@ -11,13 +11,12 @@ from conefaces.exact_linalg import (
     PRIME,
     Matrix,
     Subspace,
-    inverse,
     meets_bound,
     nullspace,
     rank,
     span,
 )
-from conefaces.rational import ONE, ZERO, rat
+from conefaces.rational import ZERO, rat
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=7
@@ -169,21 +168,6 @@ def test_span_matches_sympy_rref(m):
     assert sympy_rows(sympy, span(m.entries, m.cols).basis_vectors()) == expected
 
 
-@given(kernel_matrices)
-@settings(max_examples=100, deadline=None)
-def test_inverse_matches_sympy(m):
-    sympy = pytest.importorskip("sympy")
-    # the leading square block of the draw, nonsingular or not
-    k = min(m.rows, m.cols)
-    square = Matrix.from_rows([row[:k] for row in m.entries[:k]], cols=k)
-    expected = sympy_matrix(sympy, square)
-    if k and expected.det() == 0:
-        with pytest.raises(ValueError):
-            inverse(square)
-    else:
-        assert sympy_rows(sympy, inverse(square).entries) == expected.inv().tolist()
-
-
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_invariant_under_transpose(m):
@@ -266,31 +250,6 @@ def test_subspace_equality_is_basis_equality():
     b = span([[1, 0, -1], [2, 1, -1]], 3)
     assert a == b
     assert a != span([[1, 0, 0]], 3)
-
-
-def test_det_and_inverse():
-    m = Matrix.from_rows([[2, 1], [1, 1]])
-    inv = inverse(m)
-    assert inv.entries == ((ONE, rat(-1)), (rat(-1), rat(2)))
-    with pytest.raises(ValueError):
-        inverse(Matrix.from_rows([[1, 2], [2, 4]]))
-
-
-@given(
-    st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3)
-)
-@settings(max_examples=100, deadline=None)
-def test_inverse_roundtrip(rows):
-    m = Matrix.from_rows(rows)
-    if rank(m) < 3:
-        return
-    assert [tuple(r) for r in inverse(inverse(m)).entries] == list(m.entries)
-    inv = inverse(m)
-    prod = [
-        [sum(m.entries[i][k] * inv.entries[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-    assert prod == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def test_subspace_rejects_bad_width():
